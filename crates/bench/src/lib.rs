@@ -154,32 +154,6 @@ pub fn pct(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
 }
 
-/// Minimal timing harness backing the `benches/` targets (`harness = false`
-/// binaries; the offline toolchain carries no external bench framework).
-///
-/// Runs `f` once untimed to warm caches, then `iters` timed repetitions,
-/// and prints the best and mean wall-clock time per repetition together
-/// with the final result (which also keeps the work observable).
-pub fn bench_loop<R: std::fmt::Debug>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
-    assert!(iters > 0, "bench_loop needs at least one iteration");
-    let _ = f();
-    let mut best = std::time::Duration::MAX;
-    let mut total = std::time::Duration::ZERO;
-    let mut last = None;
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        let dt = t0.elapsed();
-        best = best.min(dt);
-        total += dt;
-        last = Some(r);
-    }
-    println!(
-        "{name}: best {best:?}, mean {:?} over {iters} iters (result {last:?})",
-        total / iters
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

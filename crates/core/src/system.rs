@@ -23,7 +23,8 @@ use noclat_cache::{L1Access, L1Cache, L2Access, L2Bank, MshrFile, SnucaMap};
 use noclat_cpu::{InstrStream, MemAccess, MemToken, MemoryPort, OooCore};
 use noclat_mem::{AddressMap, IdlenessMonitor, MemoryController};
 use noclat_noc::{
-    accumulate_age, flits_for_payload, Mesh, Network, NodeId, Priority, RouterCounters, VNet,
+    accumulate_age, flits_for_payload, Delivered, Mesh, Network, NodeId, Priority, RouterCounters,
+    VNet,
 };
 use noclat_sim::cancel::CancelToken;
 use noclat_sim::config::{KernelKind, SystemConfig};
@@ -286,6 +287,11 @@ pub struct System {
     cancel: Option<CancelToken>,
     /// Set once a run loop observed the cancel flag and stopped early.
     interrupted: bool,
+    /// Per-step buffers of [`System::tick_cores`] and
+    /// [`System::handle_deliveries`], empty between steps and kept for
+    /// their capacity.
+    outbox: Vec<(usize, PortMsg)>,
+    mail: Vec<Delivered<MemMsg>>,
 }
 
 impl std::fmt::Debug for System {
@@ -417,6 +423,8 @@ impl System {
             robust: RobustnessStats::default(),
             cancel: None,
             interrupted: false,
+            outbox: Vec::new(),
+            mail: Vec::new(),
             now: 0,
             cfg,
         };
@@ -953,10 +961,9 @@ impl System {
         if !self.watchdog.enabled() {
             return;
         }
-        let rc = self.net.router_counters();
         if let Some(quiet_for) =
             self.watchdog
-                .observe_progress(now, rc.flits_traversed, self.txns.len())
+                .observe_progress(now, self.net.flits_traversed(), self.txns.len())
         {
             let snapshot = self.snapshot(now);
             self.watchdog.record(LivenessViolation::Deadlock {
@@ -976,6 +983,11 @@ impl System {
     /// by [`System::skip_to`] when the poll lands inside a skipped span.
     fn poll_scan(&mut self, now: Cycle) {
         let rc = self.net.router_counters();
+        debug_assert_eq!(
+            rc.flits_traversed,
+            self.net.flits_traversed(),
+            "the network's running traversal total left the per-router sum"
+        );
         let wait = self.net.max_buffered_wait(now);
         if let Some(limit) = self.watchdog.observe_wait(wait.map(|(_, w)| w)) {
             let (node, waited) = wait.expect("a wait tripped the limit");
@@ -1048,7 +1060,7 @@ impl System {
     }
 
     fn tick_cores(&mut self, now: Cycle) {
-        let mut outbox: Vec<(usize, PortMsg)> = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
         {
             let System {
                 cores,
@@ -1076,7 +1088,7 @@ impl System {
             }
         }
         let l1_age = self.cfg.l1.latency as u32;
-        for (core, msg) in outbox {
+        for (core, msg) in outbox.drain(..) {
             match msg {
                 PortMsg::L2Req { txn, line } => {
                     let bank = self.snuca.bank_of(line);
@@ -1107,6 +1119,7 @@ impl System {
                 }
             }
         }
+        self.outbox = outbox;
     }
 
     /// Broadcasts whatever threshold updates the response policy wants to
@@ -1138,101 +1151,103 @@ impl System {
     fn handle_deliveries(&mut self, now: Cycle) {
         let l2_latency = self.cfg.l2.latency;
         let l1_latency = self.cfg.l1.latency;
-        for node in 0..self.cores.len() {
-            for d in self.net.take_delivered(NodeId(node as u16)) {
-                match d.payload {
-                    MemMsg::L2Req { txn, .. } => {
-                        if let Some(t) = self.txns.get_mut(&txn) {
-                            t.at_l2 = now;
-                            t.touched = now;
-                        }
-                        self.push_work(
-                            now + l2_latency,
-                            Action::L2Request {
-                                node,
-                                txn,
-                                age: d.final_age,
-                            },
-                        );
-                    }
-                    MemMsg::L1Writeback { line } => {
-                        self.push_work(now + l2_latency, Action::L2Writeback { node, line });
-                    }
-                    MemMsg::MemReq { txn, line } => {
-                        let mc_idx = self.mc_at_node[node]
-                            .expect("MemReq delivered to a non-controller node");
-                        // A request for an abandoned transaction (timed out
-                        // while this packet crawled through a faulty mesh)
-                        // has nobody waiting: drop it at the controller door.
-                        let Some(t) = self.txns.get_mut(&txn) else {
-                            continue;
-                        };
-                        let core = t.core;
-                        t.at_mc = now;
+        let mut mail = std::mem::take(&mut self.mail);
+        self.net.drain_delivered(&mut mail);
+        for d in mail.drain(..) {
+            let node = d.meta.dest.index();
+            match d.payload {
+                MemMsg::L2Req { txn, .. } => {
+                    if let Some(t) = self.txns.get_mut(&txn) {
+                        t.at_l2 = now;
                         t.touched = now;
-                        let decoded = self.addr_map.decode(line);
-                        debug_assert_eq!(decoded.controller, mc_idx, "MC interleaving mismatch");
-                        let mc = &mut self.mcs[mc_idx];
-                        mc.pending.insert(
+                    }
+                    self.push_work(
+                        now + l2_latency,
+                        Action::L2Request {
+                            node,
                             txn,
-                            McPending {
-                                age_at_arrival: d.final_age,
-                                l2_bank: d.meta.src.index(),
-                                core,
-                                line,
-                            },
-                        );
-                        mc.ctrl
-                            .enqueue(txn, decoded.bank, decoded.row, false, now)
-                            .expect("decoded bank is in range");
+                            age: d.final_age,
+                        },
+                    );
+                }
+                MemMsg::L1Writeback { line } => {
+                    self.push_work(now + l2_latency, Action::L2Writeback { node, line });
+                }
+                MemMsg::MemReq { txn, line } => {
+                    let mc_idx =
+                        self.mc_at_node[node].expect("MemReq delivered to a non-controller node");
+                    // A request for an abandoned transaction (timed out
+                    // while this packet crawled through a faulty mesh)
+                    // has nobody waiting: drop it at the controller door.
+                    let Some(t) = self.txns.get_mut(&txn) else {
+                        continue;
+                    };
+                    let core = t.core;
+                    t.at_mc = now;
+                    t.touched = now;
+                    let decoded = self.addr_map.decode(line);
+                    debug_assert_eq!(decoded.controller, mc_idx, "MC interleaving mismatch");
+                    let mc = &mut self.mcs[mc_idx];
+                    mc.pending.insert(
+                        txn,
+                        McPending {
+                            age_at_arrival: d.final_age,
+                            l2_bank: d.meta.src.index(),
+                            core,
+                            line,
+                        },
+                    );
+                    mc.ctrl
+                        .enqueue(txn, decoded.bank, decoded.row, false, now)
+                        .expect("decoded bank is in range");
+                }
+                MemMsg::MemWriteback { line } => {
+                    let mc_idx = self.mc_at_node[node]
+                        .expect("MemWriteback delivered to a non-controller node");
+                    let decoded = self.addr_map.decode(line);
+                    self.next_wb_token += 1;
+                    let token = WB_FLAG | self.next_wb_token;
+                    self.mcs[mc_idx]
+                        .ctrl
+                        .enqueue(token, decoded.bank, decoded.row, true, now)
+                        .expect("decoded bank is in range");
+                }
+                MemMsg::MemResp { txn, line } => {
+                    if let Some(t) = self.txns.get_mut(&txn) {
+                        t.back_at_l2 = now;
+                        t.touched = now;
                     }
-                    MemMsg::MemWriteback { line } => {
-                        let mc_idx = self.mc_at_node[node]
-                            .expect("MemWriteback delivered to a non-controller node");
-                        let decoded = self.addr_map.decode(line);
-                        self.next_wb_token += 1;
-                        let token = WB_FLAG | self.next_wb_token;
-                        self.mcs[mc_idx]
-                            .ctrl
-                            .enqueue(token, decoded.bank, decoded.row, true, now)
-                            .expect("decoded bank is in range");
-                    }
-                    MemMsg::MemResp { txn, line } => {
-                        if let Some(t) = self.txns.get_mut(&txn) {
-                            t.back_at_l2 = now;
-                            t.touched = now;
-                        }
-                        self.push_work(
-                            now + l2_latency,
-                            Action::L2Fill {
-                                node,
-                                txn,
-                                line,
-                                age: d.final_age,
-                                high: d.meta.priority == Priority::High,
-                            },
-                        );
-                    }
-                    MemMsg::L2Resp { txn, line } => {
-                        self.push_work(
-                            now + l1_latency,
-                            Action::CoreFill {
-                                core: node,
-                                txn,
-                                line,
-                                age: d.final_age,
-                                high: d.meta.priority == Priority::High,
-                            },
-                        );
-                    }
-                    MemMsg::ThresholdUpdate { core, threshold } => {
-                        let mc_idx = self.mc_at_node[node]
-                            .expect("ThresholdUpdate delivered to a non-controller node");
-                        self.resp_policy.install_threshold(mc_idx, core, threshold);
-                    }
+                    self.push_work(
+                        now + l2_latency,
+                        Action::L2Fill {
+                            node,
+                            txn,
+                            line,
+                            age: d.final_age,
+                            high: d.meta.priority == Priority::High,
+                        },
+                    );
+                }
+                MemMsg::L2Resp { txn, line } => {
+                    self.push_work(
+                        now + l1_latency,
+                        Action::CoreFill {
+                            core: node,
+                            txn,
+                            line,
+                            age: d.final_age,
+                            high: d.meta.priority == Priority::High,
+                        },
+                    );
+                }
+                MemMsg::ThresholdUpdate { core, threshold } => {
+                    let mc_idx = self.mc_at_node[node]
+                        .expect("ThresholdUpdate delivered to a non-controller node");
+                    self.resp_policy.install_threshold(mc_idx, core, threshold);
                 }
             }
         }
+        self.mail = mail;
     }
 
     fn process_work(&mut self, now: Cycle) {

@@ -180,6 +180,13 @@ impl RoundRobinArbiter {
 
     /// Like [`RoundRobinArbiter::pick`], under an explicit arbitration
     /// policy.
+    ///
+    /// The rotating pointer is an index into the candidate list of the
+    /// *previous* call, taken modulo the *current* candidate count: which
+    /// candidate an equal-key tie falls to depends on the list's length and
+    /// order, not only on its members. A caller that must reproduce a grant
+    /// sequence has to present the same candidates in the same order (the
+    /// router lists them in ascending `(port, vc)` order).
     pub fn pick_with(
         &mut self,
         candidates: &[Candidate],

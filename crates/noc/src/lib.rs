@@ -40,6 +40,7 @@
 //! ```
 
 pub mod arbiter;
+mod bitset;
 pub mod network;
 pub mod packet;
 pub mod router;

@@ -123,10 +123,11 @@ use noclat_sim::faults::{FaultPlan, LinkFaultState, LinkOutcome, RouterStallStat
 use noclat_sim::stats::{Counter, RunningMean};
 use noclat_sim::Cycle;
 
+use crate::bitset::BitSet;
 use crate::packet::{
     accumulate_age, Delivered, Flit, FlitKind, PacketId, PacketMeta, Priority, VNet,
 };
-use crate::router::{Router, RouterCounters};
+use crate::router::{Router, RouterCounters, RouterScratch};
 use crate::topology::{Dir, Mesh, NodeId};
 
 /// Network-wide event counters and latency aggregates.
@@ -199,6 +200,8 @@ struct Injector {
     active: Vec<Option<ActiveInjection>>,
     /// Round-robin pointer over VCs for the one-flit-per-cycle local port.
     rr: usize,
+    /// Packets queued or still streaming here (zero = nothing to inject).
+    pending: usize,
 }
 
 impl Injector {
@@ -212,6 +215,7 @@ impl Injector {
             ],
             active: vec![None; vcs],
             rr: 0,
+            pending: 0,
         }
     }
 
@@ -220,21 +224,51 @@ impl Injector {
     }
 }
 
+/// `link_peer` entry of a port no link leaves through (mesh edges, `Local`).
+const NO_LINK: u32 = u32::MAX;
+
 /// The mesh network.
+///
+/// A cycle visits only components that hold work: the `busy_*` sets and
+/// `mailed` name exactly the routers buffering flits, the wires and credit
+/// wires with items in flight, the injectors with packets left to stream
+/// and the tiles with undelivered mail. They are walked in ascending index
+/// order, so arbitration, wire and delivery order equal a scan of
+/// everything (`DESIGN.md` §16).
 #[derive(Debug)]
 pub struct Network<P> {
     mesh: Mesh,
     cfg: NocConfig,
     routers: Vec<Router>,
-    /// In-flight flits per (node, input port): `(arrival_cycle, flit)`.
+    /// Routers with `occupancy() > 0`. A stalled or clock-divided router
+    /// stays a member until it drains.
+    busy_routers: BitSet,
+    /// The routers' shared per-cycle scratch and output.
+    scratch: RouterScratch,
+    /// In-flight flits per (router, input port): `(arrival_cycle, flit)`.
     wires: Vec<VecDeque<(Cycle, Flit)>>,
-    /// In-flight credits per (node, output port): `(arrival_cycle, vc)`.
+    /// In-flight credits per (router, output port): `(arrival_cycle, vc)`.
     credit_wires: Vec<VecDeque<(Cycle, u8)>>,
+    busy_wires: BitSet,
+    busy_credit_wires: BitSet,
+    /// Far end of the link at each `router * num_ports + port` slot: the
+    /// neighbour's input wire for a flit leaving through `port`, which is
+    /// also the upstream router's credit wire for a credit freed at input
+    /// `port`. Built once, so a hop or a credit costs one load instead of
+    /// `mesh.neighbor()`'s coordinate arithmetic.
+    link_peer: Vec<u32>,
     injectors: Vec<Injector>,
+    busy_injectors: BitSet,
     inboxes: Vec<Vec<Delivered<P>>>,
-    /// Flits carried per directed link, indexed `node * 5 + out_port`
-    /// (`Local` = ejections at that node).
+    /// Tiles whose inbox is non-empty.
+    mailed: BitSet,
+    /// Flits carried per directed link, indexed
+    /// `router * num_ports + out_port` (5 ports on mesh-like fabrics, 9 on
+    /// express; `Local` = ejections at that router).
     link_flits: Vec<u64>,
+    /// Running total of switch traversals: the sum of every router's
+    /// `flits_traversed`, kept here so the watchdog reads it in O(1).
+    flits_traversed: u64,
     /// Clock divider per router: router `n` arbitrates only on cycles
     /// divisible by `periods[n]` (1 = full speed). Models the heterogeneous
     /// clock domains Equation 1's `FREQ_MULT / local_frequency` term is
@@ -276,6 +310,15 @@ impl<P> Network<P> {
         let tiles = mesh.num_nodes();
         let n = mesh.num_routers();
         let ports = mesh.num_ports();
+        let link_peer = mesh
+            .routers()
+            .flat_map(|r| mesh.ports().iter().map(move |&d| (r, d)))
+            .map(|(r, d)| {
+                mesh.neighbor(r, d).map_or(NO_LINK, |nb| {
+                    (nb.index() * ports + d.opposite().index()) as u32
+                })
+            })
+            .collect();
         Network {
             mesh,
             cfg,
@@ -283,11 +326,19 @@ impl<P> Network<P> {
                 .routers()
                 .map(|id| Router::new(id, mesh, cfg))
                 .collect(),
+            busy_routers: BitSet::new(n),
+            scratch: RouterScratch::default(),
             wires: (0..n * ports).map(|_| VecDeque::new()).collect(),
             credit_wires: (0..n * ports).map(|_| VecDeque::new()).collect(),
+            busy_wires: BitSet::new(n * ports),
+            busy_credit_wires: BitSet::new(n * ports),
+            link_peer,
             injectors: (0..n).map(|_| Injector::new(cfg.vcs_per_port)).collect(),
+            busy_injectors: BitSet::new(n),
             inboxes: (0..tiles).map(|_| Vec::new()).collect(),
+            mailed: BitSet::new(tiles),
             link_flits: vec![0; n * ports],
+            flits_traversed: 0,
             periods: vec![1; n],
             packets: PacketStore::new(),
             stats: NetworkStats::default(),
@@ -322,6 +373,13 @@ impl<P> Network<P> {
             total.age_saturations += c.age_saturations;
         }
         total
+    }
+
+    /// Total switch traversals so far: `router_counters().flits_traversed`
+    /// without the walk over every router (the watchdog's progress signal).
+    #[must_use]
+    pub fn flits_traversed(&self) -> u64 {
+        self.flits_traversed
     }
 
     /// Flits currently buffered at each router, indexed by node (watchdog
@@ -362,25 +420,15 @@ impl<P> Network<P> {
     /// stale credit state, so wire fronts are exact wake-ups.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let injecting = self.injectors.iter().any(|inj| {
-            inj.active.iter().any(Option::is_some) || inj.queues.iter().any(|q| !q.is_empty())
-        });
-        if injecting || self.routers.iter().any(|r| r.occupancy() > 0) {
+        if !self.busy_injectors.is_empty() || !self.busy_routers.is_empty() {
             return Some(now);
         }
-        let mut wake: Option<Cycle> = None;
-        let mut fold = |t: Cycle| wake = Some(wake.map_or(t, |w: Cycle| w.min(t)));
-        for w in &self.wires {
-            if let Some(&(t, _)) = w.front() {
-                fold(t);
-            }
-        }
-        for cw in &self.credit_wires {
-            if let Some(&(t, _)) = cw.front() {
-                fold(t);
-            }
-        }
-        wake.map(|t| t.max(now))
+        let flits = self.busy_wires.iter().map(|w| self.wires[w][0].0);
+        let credits = self
+            .busy_credit_wires
+            .iter()
+            .map(|w| self.credit_wires[w][0].0);
+        flits.chain(credits).min().map(|t| t.max(now))
     }
 
     /// Slows router `node` (a router-grid id) down to arbitrate once every
@@ -479,8 +527,11 @@ impl<P> Network<P> {
             },
             payload,
         );
-        let inj = &mut self.injectors[self.mesh.router_of(src).index()];
+        let router = self.mesh.router_of(src).index();
+        let inj = &mut self.injectors[router];
         inj.queues[Injector::queue_index(vnet, priority)].push_back(PendingPacket { id });
+        inj.pending += 1;
+        self.busy_injectors.insert(router);
         self.stats.packets_injected.inc();
         if priority == Priority::High {
             self.stats.high_priority_injected.inc();
@@ -488,9 +539,25 @@ impl<P> Network<P> {
         Ok(id)
     }
 
-    /// Takes all packets delivered to `node` since the last call.
+    /// Takes all packets delivered to `node` since the last call. A
+    /// per-cycle consumer should prefer [`Network::drain_delivered`], which
+    /// visits only tiles with mail and allocates nothing.
     pub fn take_delivered(&mut self, node: NodeId) -> Vec<Delivered<P>> {
-        std::mem::take(&mut self.inboxes[node.index()])
+        self.mailed.remove(node.index());
+        self.inboxes[node.index()].drain(..).collect()
+    }
+
+    /// Moves every packet delivered since the last call to the end of
+    /// `out`: ascending destination tile (`meta.dest`), delivery order
+    /// within a tile — the order of calling [`Network::take_delivered`] on
+    /// each tile in turn. The inboxes keep their capacity.
+    pub fn drain_delivered(&mut self, out: &mut Vec<Delivered<P>>) {
+        let mut next = self.mailed.first_from(0);
+        while let Some(tile) = next {
+            next = self.mailed.first_from(tile + 1);
+            self.mailed.remove(tile);
+            out.append(&mut self.inboxes[tile]);
+        }
     }
 
     /// Takes all packets destroyed by link faults since the last call,
@@ -517,24 +584,87 @@ impl<P> Network<P> {
         self.injection_step(now);
         self.router_step(now, observer);
         self.deliver_wires(now);
+        if cfg!(debug_assertions) {
+            self.check_active_sets();
+        }
+    }
+
+    /// The membership rules of the active sets and the running counts,
+    /// checked against a scan of everything (debug builds, once per tick).
+    fn check_active_sets(&self) {
+        for (r, router) in self.routers.iter().enumerate() {
+            let buffered = router.buffered_flits();
+            assert_eq!(router.occupancy(), buffered, "router {r}: occupancy");
+            assert_eq!(
+                self.busy_routers.contains(r),
+                buffered > 0,
+                "router {r}: busy-set membership with {buffered} flits buffered"
+            );
+            let inj = &self.injectors[r];
+            let pending = inj.queues.iter().map(VecDeque::len).sum::<usize>()
+                + inj.active.iter().flatten().count();
+            assert_eq!(inj.pending, pending, "injector {r}: pending count");
+            assert_eq!(
+                self.busy_injectors.contains(r),
+                pending > 0,
+                "injector {r}: busy-set membership with {pending} packets pending"
+            );
+        }
+        for w in 0..self.wires.len() {
+            assert_eq!(
+                self.busy_wires.contains(w),
+                !self.wires[w].is_empty(),
+                "wire {w}: busy-set membership"
+            );
+            assert_eq!(
+                self.busy_credit_wires.contains(w),
+                !self.credit_wires[w].is_empty(),
+                "credit wire {w}: busy-set membership"
+            );
+        }
+        for (tile, inbox) in self.inboxes.iter().enumerate() {
+            assert_eq!(
+                self.mailed.contains(tile),
+                !inbox.is_empty(),
+                "tile {tile}: mailed-set membership"
+            );
+        }
+        assert_eq!(
+            self.flits_traversed,
+            self.router_counters().flits_traversed,
+            "running traversal total"
+        );
     }
 
     /// Moves arrived flits and credits from the wires into the routers.
     fn deliver_wires(&mut self, now: Cycle) {
         let ports = self.mesh.num_ports();
         let port_dirs = self.mesh.ports();
-        for node in 0..self.routers.len() {
-            for (port, &dir) in port_dirs.iter().enumerate() {
-                let w = &mut self.wires[node * ports + port];
-                while w.front().is_some_and(|&(t, _)| t <= now) {
-                    let (_, flit) = w.pop_front().expect("checked front");
-                    self.routers[node].accept_flit(dir, flit, now);
-                }
-                let cw = &mut self.credit_wires[node * ports + port];
-                while cw.front().is_some_and(|&(t, _)| t <= now) {
-                    let (_, vc) = cw.pop_front().expect("checked front");
-                    self.routers[node].apply_credit(dir, vc);
-                }
+        let mut next = self.busy_wires.first_from(0);
+        while let Some(slot) = next {
+            next = self.busy_wires.first_from(slot + 1);
+            let (node, dir) = (slot / ports, port_dirs[slot % ports]);
+            let w = &mut self.wires[slot];
+            while w.front().is_some_and(|&(t, _)| t <= now) {
+                let (_, flit) = w.pop_front().expect("checked front");
+                self.routers[node].accept_flit(dir, flit, now);
+                self.busy_routers.insert(node);
+            }
+            if w.is_empty() {
+                self.busy_wires.remove(slot);
+            }
+        }
+        let mut next = self.busy_credit_wires.first_from(0);
+        while let Some(slot) = next {
+            next = self.busy_credit_wires.first_from(slot + 1);
+            let (node, dir) = (slot / ports, port_dirs[slot % ports]);
+            let cw = &mut self.credit_wires[slot];
+            while cw.front().is_some_and(|&(t, _)| t <= now) {
+                let (_, vc) = cw.pop_front().expect("checked front");
+                self.routers[node].apply_credit(dir, vc);
+            }
+            if cw.is_empty() {
+                self.busy_credit_wires.remove(slot);
             }
         }
     }
@@ -546,7 +676,9 @@ impl<P> Network<P> {
     fn injection_step(&mut self, now: Cycle) {
         let vcs = self.cfg.vcs_per_port;
         let half = vcs / 2;
-        for node in 0..self.routers.len() {
+        let mut next = self.busy_injectors.first_from(0);
+        while let Some(node) = next {
+            next = self.busy_injectors.first_from(node + 1);
             // Bind pending packets (high-priority queue first per vnet).
             for vnet in [VNet::Request, VNet::Response] {
                 let (start, end) = (vnet.index() * half, vnet.index() * half + half);
@@ -575,6 +707,9 @@ impl<P> Network<P> {
             }
             for vnet in [VNet::Request, VNet::Response] {
                 self.stream_one_flit(node, vnet, now);
+            }
+            if self.injectors[node].pending == 0 {
+                self.busy_injectors.remove(node);
             }
         }
     }
@@ -630,23 +765,30 @@ impl<P> Network<P> {
                 };
                 let num_flits = meta.num_flits;
                 self.routers[node].accept_flit(Dir::Local, flit, now);
-                let slot = self.injectors[node].active[v]
-                    .as_mut()
-                    .expect("active injection");
+                self.busy_routers.insert(node);
+                let inj = &mut self.injectors[node];
+                let slot = inj.active[v].as_mut().expect("active injection");
                 slot.sent += 1;
                 if slot.sent == num_flits {
-                    self.injectors[node].active[v] = None;
+                    inj.active[v] = None;
+                    inj.pending -= 1;
                 }
-                self.injectors[node].rr = (v + 1) % half;
+                inj.rr = (v + 1) % half;
                 return; // one flit per vnet per node per cycle
             }
         }
     }
 
-    /// Ticks every router and routes its outputs onto wires / inboxes.
+    /// Ticks every router holding flits and routes its outputs onto wires /
+    /// inboxes.
     fn router_step<F: FnMut(&Hop)>(&mut self, now: Cycle, observer: &mut F) {
         let ports = self.mesh.num_ports();
-        for node in 0..self.routers.len() {
+        // The routers write into the scratch, the rest of the network reads
+        // it: lift it out for the step so both can be borrowed.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut next = self.busy_routers.first_from(0);
+        while let Some(node) = next {
+            next = self.busy_routers.first_from(node + 1);
             let node_id = NodeId(node as u16);
             // A slowed router only arbitrates on its own clock edges.
             if !now.is_multiple_of(Cycle::from(self.periods[node])) {
@@ -657,14 +799,12 @@ impl<P> Network<P> {
             if self.router_stalls.is_active() && self.router_stalls.stalled(node, now) {
                 continue;
             }
-            // Split borrows: the router produces, the network consumes.
-            let out = {
-                let r = &mut self.routers[node];
-                let o = r.tick(now);
-                // Clone the small per-cycle output so `self` is free again.
-                (o.traversals.clone(), o.credits.clone())
-            };
-            for tr in out.0 {
+            self.routers[node].tick_into(now, &mut scratch);
+            if self.routers[node].occupancy() == 0 {
+                self.busy_routers.remove(node);
+            }
+            self.flits_traversed += scratch.out.traversals.len() as u64;
+            for tr in &scratch.out.traversals {
                 self.link_flits[node * ports + tr.out_port.index()] += 1;
                 observer(&Hop {
                     node: node_id,
@@ -694,28 +834,24 @@ impl<P> Network<P> {
                             LinkOutcome::Deliver => {}
                         }
                     }
-                    let nb = self
-                        .mesh
-                        .neighbor(node_id, tr.out_port)
-                        .expect("route stays inside mesh");
-                    let in_port = tr.out_port.opposite();
-                    self.wires[nb.index() * ports + in_port.index()]
+                    let wire = self.link_peer[node * ports + tr.out_port.index()];
+                    assert_ne!(wire, NO_LINK, "route stays inside mesh");
+                    self.wires[wire as usize]
                         .push_back((now + self.cfg.link_latency + extra_delay, tr.flit));
+                    self.busy_wires.insert(wire as usize);
                 }
             }
-            for cr in out.1 {
+            for cr in &scratch.out.credits {
                 if cr.in_port == Dir::Local {
                     continue; // injector reads buffer occupancy directly
                 }
-                let upstream = self
-                    .mesh
-                    .neighbor(node_id, cr.in_port)
-                    .expect("credit goes to an existing neighbor");
-                let up_out_port = cr.in_port.opposite();
-                self.credit_wires[upstream.index() * ports + up_out_port.index()]
-                    .push_back((now + 1, cr.vc));
+                let wire = self.link_peer[node * ports + cr.in_port.index()];
+                assert_ne!(wire, NO_LINK, "credit goes to an existing neighbor");
+                self.credit_wires[wire as usize].push_back((now + 1, cr.vc));
+                self.busy_credit_wires.insert(wire as usize);
             }
         }
+        self.scratch = scratch;
     }
 
     /// Decides what the faulty link leaving `node` does to `flit`.
@@ -785,6 +921,7 @@ impl<P> Network<P> {
         // Deliver to the destination *tile*: on a concentrated mesh several
         // tiles share the ejecting router.
         self.inboxes[meta.dest.index()].push(delivered);
+        self.mailed.insert(meta.dest.index());
     }
 }
 

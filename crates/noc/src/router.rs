@@ -18,10 +18,12 @@ use noclat_sim::config::NocConfig;
 use noclat_sim::Cycle;
 
 use crate::arbiter::{arbitration_policy, ArbitrationPolicy, Candidate, RoundRobinArbiter};
+use crate::bitset::BitSet;
 use crate::packet::{accumulate_age, Flit, Priority, VNet};
 use crate::topology::{Dir, Mesh, NodeId};
 
-/// Per-VC state at an input port.
+/// State of one input VC. All input VCs of a router live in one flat array
+/// indexed `port * vcs_per_port + vc`, which is also the arbiter tag.
 #[derive(Debug, Clone)]
 struct VcState {
     buf: VecDeque<Flit>,
@@ -29,31 +31,12 @@ struct VcState {
     route: Option<Dir>,
     /// Downstream VC allocated to that packet.
     out_vc: Option<u8>,
-}
-
-impl VcState {
-    fn new(depth: usize) -> Self {
-        VcState {
-            buf: VecDeque::with_capacity(depth),
-            route: None,
-            out_vc: None,
-        }
-    }
-}
-
-/// One of the five input ports.
-#[derive(Debug, Clone)]
-struct InputPort {
-    vcs: Vec<VcState>,
-}
-
-/// Credit/ownership state for one output port.
-#[derive(Debug, Clone)]
-struct OutputPort {
-    /// Free buffer slots at the downstream input VC.
-    credits: Vec<u32>,
-    /// Which input VC currently owns each downstream VC (None = free).
-    owner: Vec<Option<(usize, usize)>>,
+    /// Downstream VCs `[start, end)` that packet may be granted: its
+    /// virtual network's half, narrowed on a torus to the dateline subclass
+    /// [`Mesh::vc_subclass`] assigns to the hop. Fixed at RC with the route.
+    class: (u16, u16),
+    /// This VC as the upstream router knows it (what ST hands back).
+    credit: CreditReturn,
 }
 
 /// A flit leaving the router this cycle, tagged with its output port.
@@ -84,11 +67,28 @@ pub struct RouterOutput {
     pub credits: Vec<CreditReturn>,
 }
 
-impl RouterOutput {
-    fn clear(&mut self) {
-        self.traversals.clear();
-        self.credits.clear();
-    }
+/// A requester of one output port, in VA (a routed header without a
+/// downstream VC) or in SA phase 2 (a phase-1 winner).
+#[derive(Debug, Clone, Copy)]
+struct PortRequest {
+    out_port: usize,
+    cand: Candidate,
+}
+
+/// Everything one [`Router::tick`] writes besides the router's own state:
+/// the per-cycle output and the candidate lists of the allocators. A
+/// [`crate::Network`] owns one and lends it to each router in turn, so a
+/// steady-state cycle allocates nothing and a router carries no buffers of
+/// its own; a router driven standalone creates its own on first use.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RouterScratch {
+    pub(crate) out: RouterOutput,
+    /// Requesters of every output port, in `(port, vc)` order.
+    requests: Vec<PortRequest>,
+    /// The requesters of the output port being arbitrated, same order.
+    candidates: Vec<Candidate>,
+    /// VA only: the candidates a free downstream VC exists for.
+    grantable: Vec<Candidate>,
 }
 
 /// Event counters for one router.
@@ -111,8 +111,13 @@ pub struct Router {
     node: NodeId,
     mesh: Mesh,
     cfg: NocConfig,
-    inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
+    /// Input VCs, flat (see [`VcState`]).
+    vcs: Vec<VcState>,
+    /// Free buffer slots at each downstream input VC, flat by
+    /// `out_port * vcs_per_port + vc`.
+    credits: Vec<u32>,
+    /// Whether a packet currently owns each downstream VC, same indexing.
+    out_vc_taken: Vec<bool>,
     va_arb: Vec<RoundRobinArbiter>,
     sa_in_arb: Vec<RoundRobinArbiter>,
     sa_out_arb: Vec<RoundRobinArbiter>,
@@ -120,20 +125,19 @@ pub struct Router {
     /// point 3 of the policy layer), resolved once from the configuration.
     arb: Arc<dyn ArbitrationPolicy>,
     counters: RouterCounters,
-    /// Total flits buffered across all input VCs (fast-path guard).
+    /// Total flits buffered across all input VCs.
     occupancy: usize,
-    /// Scratch for returning per-cycle results without reallocating.
-    out: RouterOutput,
-}
-
-/// Encodes `(port, vc)` into an arbiter tag.
-fn tag_of(port: usize, vc: usize, vcs_per_port: usize) -> usize {
-    port * vcs_per_port + vc
-}
-
-/// Decodes an arbiter tag back into `(port, vc)`.
-fn untag(tag: usize, vcs_per_port: usize) -> (usize, usize) {
-    (tag / vcs_per_port, tag % vcs_per_port)
+    /// Input VCs whose front flit is a header without a route (RC's work).
+    needs_rc: BitSet,
+    /// Input VCs holding a routed header without a downstream VC (VA's).
+    needs_va: BitSet,
+    /// Non-empty input VCs with both a route and a downstream VC (SA's).
+    /// Every buffered flit is at the front of, or queued behind, a VC in
+    /// exactly one of the three sets, so a stage with an empty set has
+    /// nothing to do and the others walk only their members.
+    sa_ready: BitSet,
+    /// Scratch of a standalone router (see [`RouterScratch`]).
+    scratch: Option<Box<RouterScratch>>,
 }
 
 impl Router {
@@ -144,30 +148,39 @@ impl Router {
     pub fn new(node: NodeId, mesh: Mesh, cfg: NocConfig) -> Self {
         let v = cfg.vcs_per_port;
         let ports = mesh.num_ports();
-        let inputs = (0..ports)
-            .map(|_| InputPort {
-                vcs: (0..v).map(|_| VcState::new(cfg.buffer_depth)).collect(),
-            })
-            .collect();
-        let outputs = (0..ports)
-            .map(|_| OutputPort {
-                credits: vec![cfg.buffer_depth as u32; v],
-                owner: vec![None; v],
+        let vcs = mesh
+            .ports()
+            .iter()
+            .flat_map(|&in_port| {
+                (0..v).map(move |vc| VcState {
+                    buf: VecDeque::with_capacity(cfg.buffer_depth),
+                    route: None,
+                    out_vc: None,
+                    class: (0, 0),
+                    credit: CreditReturn {
+                        in_port,
+                        vc: vc as u8,
+                    },
+                })
             })
             .collect();
         Router {
             node,
             mesh,
             cfg,
-            inputs,
-            outputs,
+            vcs,
+            credits: vec![cfg.buffer_depth as u32; ports * v],
+            out_vc_taken: vec![false; ports * v],
             va_arb: vec![RoundRobinArbiter::new(); ports],
             sa_in_arb: vec![RoundRobinArbiter::new(); ports],
             sa_out_arb: vec![RoundRobinArbiter::new(); ports],
             arb: arbitration_policy(cfg.starvation, cfg.starvation_age_guard),
             counters: RouterCounters::default(),
             occupancy: 0,
-            out: RouterOutput::default(),
+            needs_rc: BitSet::new(ports * v),
+            needs_va: BitSet::new(ports * v),
+            sa_ready: BitSet::new(ports * v),
+            scratch: None,
         }
     }
 
@@ -184,26 +197,30 @@ impl Router {
     }
 
     /// Total flits buffered across all input VCs. Zero means a tick is a
-    /// guaranteed no-op (the fast-path guard [`Router::tick`] uses), which
-    /// is exactly the event kernel's idleness criterion for routers.
+    /// guaranteed no-op, which is the network's active-set membership rule
+    /// and the event kernel's idleness criterion for routers.
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.occupancy
+    }
+
+    /// Flat index of an input VC (or of a downstream VC of an output port).
+    fn slot(&self, port: Dir, vc: usize) -> usize {
+        port.index() * self.cfg.vcs_per_port + vc
     }
 
     /// Free buffer slots in a local-input VC (used by the injection logic,
     /// which sits at zero distance and needs no credit wire).
     #[must_use]
     pub fn local_vc_space(&self, vc: usize) -> usize {
-        let b = &self.inputs[Dir::Local.index()].vcs[vc];
-        self.cfg.buffer_depth - b.buf.len()
+        self.cfg.buffer_depth - self.vcs[self.slot(Dir::Local, vc)].buf.len()
     }
 
     /// Whether a local-input VC currently holds or streams a packet (its
     /// head has not been fully routed out yet, or flits remain buffered).
     #[must_use]
     pub fn local_vc_busy(&self, vc: usize) -> bool {
-        let b = &self.inputs[Dir::Local.index()].vcs[vc];
+        let b = &self.vcs[self.slot(Dir::Local, vc)];
         !b.buf.is_empty() || b.route.is_some()
     }
 
@@ -216,18 +233,16 @@ impl Router {
     /// Panics in debug builds if the buffer is full (credit protocol
     /// violation).
     pub fn accept_flit(&mut self, port: Dir, mut flit: Flit, now: Cycle) {
-        let vc = usize::from(flit.vc);
-        let buf_empty = {
-            let b = &self.inputs[port.index()].vcs[vc];
-            debug_assert!(
-                b.buf.len() < self.cfg.buffer_depth,
-                "credit violation at {:?} port {:?} vc {}",
-                self.node,
-                port,
-                vc
-            );
-            b.buf.is_empty()
-        };
+        let slot = self.slot(port, usize::from(flit.vc));
+        let state = &mut self.vcs[slot];
+        debug_assert!(
+            state.buf.len() < self.cfg.buffer_depth,
+            "credit violation at {:?} port {:?} vc {}",
+            self.node,
+            port,
+            flit.vc
+        );
+        let buf_empty = state.buf.is_empty();
         let bypass = self.cfg.bypass_enabled && flit.priority == Priority::High && buf_empty;
         flit.arrived_at = now;
         flit.ready_at = now
@@ -240,12 +255,23 @@ impl Router {
             self.counters.flits_bypassed += 1;
         }
         self.occupancy += 1;
-        self.inputs[port.index()].vcs[vc].buf.push_back(flit);
+        state.buf.push_back(flit);
+        if buf_empty {
+            // The new front decides which stage the VC waits for. A routed
+            // header keeps the front until VA and SA served it, so an empty
+            // VC with a route also has its downstream VC.
+            match (state.route, state.out_vc) {
+                (None, _) => self.needs_rc.insert(slot),
+                (Some(_), Some(_)) => self.sa_ready.insert(slot),
+                (Some(_), None) => unreachable!("routed header left its VC before VA"),
+            }
+        }
     }
 
     /// Restores one credit for a downstream VC of an output port.
     pub fn apply_credit(&mut self, out_port: Dir, vc: u8) {
-        let c = &mut self.outputs[out_port.index()].credits[usize::from(vc)];
+        let slot = self.slot(out_port, usize::from(vc));
+        let c = &mut self.credits[slot];
         debug_assert!(
             (*c as usize) < self.cfg.buffer_depth,
             "credit overflow at {:?} port {:?} vc {}",
@@ -266,195 +292,199 @@ impl Router {
     /// Runs one cycle: RC, VA, SA and ST. Returns the flits leaving the
     /// router and the credits to send upstream.
     pub fn tick(&mut self, now: Cycle) -> &RouterOutput {
-        self.out.clear();
-        if self.occupancy == 0 {
-            return &self.out;
+        let mut scratch = self.scratch.take().unwrap_or_default();
+        self.tick_into(now, &mut scratch);
+        &self.scratch.insert(scratch).out
+    }
+
+    /// [`Router::tick`] over the caller's scratch; the cycle's output is
+    /// left in `scratch.out`.
+    pub(crate) fn tick_into(&mut self, now: Cycle, scratch: &mut RouterScratch) {
+        scratch.out.traversals.clear();
+        scratch.out.credits.clear();
+        if !self.needs_rc.is_empty() {
+            self.route_compute();
         }
-        self.route_compute();
-        self.vc_allocate(now);
-        self.switch_allocate_and_traverse(now);
-        &self.out
+        if !self.needs_va.is_empty() {
+            self.vc_allocate(now, scratch);
+        }
+        if !self.sa_ready.is_empty() {
+            self.switch_allocate_and_traverse(now, scratch);
+        }
     }
 
     /// RC: compute the output port for every VC whose front flit is a header
     /// without a route.
     fn route_compute(&mut self) {
-        for port in 0..self.inputs.len() {
-            for vc in 0..self.cfg.vcs_per_port {
-                let state = &mut self.inputs[port].vcs[vc];
-                if state.route.is_some() {
-                    continue;
-                }
-                if let Some(front) = state.buf.front() {
-                    debug_assert!(
-                        front.kind.is_head(),
-                        "body flit at VC front without a route (wormhole violation)"
-                    );
-                    if front.kind.is_head() {
-                        state.route =
-                            Some(self.mesh.route(self.cfg.routing, self.node, front.dest));
-                    }
-                }
+        let mut next = self.needs_rc.first_from(0);
+        while let Some(slot) = next {
+            next = self.needs_rc.first_from(slot + 1);
+            let front = *self.vcs[slot].buf.front().expect("RC set holds a flit");
+            debug_assert!(
+                front.kind.is_head(),
+                "body flit at VC front without a route (wormhole violation)"
+            );
+            if !front.kind.is_head() {
+                continue;
             }
+            let route = self.mesh.route(self.cfg.routing, self.node, front.dest);
+            let (start, end) = self.vnet_range(front.vnet);
+            let class = match self.mesh.vc_subclass(self.node, front.dest, route) {
+                None => (start, end),
+                Some(s) => {
+                    let quarter = (end - start) / 2;
+                    let s = start + usize::from(s) * quarter;
+                    (s, s + quarter)
+                }
+            };
+            let state = &mut self.vcs[slot];
+            state.route = Some(route);
+            state.class = (class.0 as u16, class.1 as u16);
+            self.needs_rc.remove(slot);
+            self.needs_va.insert(slot);
         }
+    }
+
+    /// The arbitration candidate for the front flit of input VC `slot`.
+    fn candidate(slot: usize, front: &Flit, now: Cycle) -> Candidate {
+        Candidate {
+            tag: slot,
+            priority: front.priority,
+            effective_age: u64::from(front.age) + now.saturating_sub(front.arrived_at),
+            batch: front.batch,
+        }
+    }
+
+    /// Lists the requesters of the lowest output port at or after `from` in
+    /// `scratch.candidates`, keeping their `(port, vc)` order, and returns
+    /// that port.
+    fn next_port_candidates(scratch: &mut RouterScratch, from: usize) -> Option<usize> {
+        let out_port = scratch
+            .requests
+            .iter()
+            .map(|r| r.out_port)
+            .filter(|&p| p >= from)
+            .min()?;
+        scratch.candidates.clear();
+        scratch.candidates.extend(
+            scratch
+                .requests
+                .iter()
+                .filter(|r| r.out_port == out_port)
+                .map(|r| r.cand),
+        );
+        Some(out_port)
     }
 
     /// VA: allocate free downstream VCs to waiting headers, priority-aware.
-    fn vc_allocate(&mut self, now: Cycle) {
-        for out_port in 0..self.outputs.len() {
-            // Gather requesters: routed headers without an output VC.
-            let mut candidates: Vec<Candidate> = Vec::new();
-            for port in 0..self.inputs.len() {
-                for vc in 0..self.cfg.vcs_per_port {
-                    let state = &self.inputs[port].vcs[vc];
-                    if state.route.map(Dir::index) != Some(out_port) || state.out_vc.is_some() {
-                        continue;
-                    }
-                    let Some(front) = state.buf.front() else {
-                        continue;
-                    };
-                    if !front.kind.is_head() {
-                        continue;
-                    }
-                    candidates.push(Candidate {
-                        tag: tag_of(port, vc, self.cfg.vcs_per_port),
-                        priority: front.priority,
-                        effective_age: u64::from(front.age) + now.saturating_sub(front.arrived_at),
-                        batch: front.batch,
-                    });
-                }
-            }
+    fn vc_allocate(&mut self, now: Cycle, scratch: &mut RouterScratch) {
+        // One pass over the waiting headers; walking the set in ascending
+        // order lists each output port's requesters in `(port, vc)` order.
+        scratch.requests.clear();
+        for slot in self.needs_va.iter() {
+            let state = &self.vcs[slot];
+            let front = state.buf.front().expect("VA set holds a header");
+            debug_assert!(front.kind.is_head(), "VA requester is not a header");
+            scratch.requests.push(PortRequest {
+                out_port: state.route.expect("VA set is routed").index(),
+                cand: Self::candidate(slot, front, now),
+            });
+        }
+        let v = self.cfg.vcs_per_port;
+        let mut from = 0;
+        while let Some(out_port) = Self::next_port_candidates(scratch, from) {
+            from = out_port + 1;
             // Grant free VCs one winner at a time until no grantable
             // requester remains.
-            let out_dir = self.mesh.ports()[out_port];
-            while !candidates.is_empty() {
+            while !scratch.candidates.is_empty() {
                 // A requester is grantable if a free VC exists in its class
                 // (on a torus: in its dateline subclass of the class).
-                let grantable: Vec<Candidate> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|c| {
-                        let (port, vc) = untag(c.tag, self.cfg.vcs_per_port);
-                        let front = self.inputs[port].vcs[vc]
-                            .buf
-                            .front()
-                            .expect("candidate has a front flit");
-                        let subclass = self.mesh.vc_subclass(self.node, front.dest, out_dir);
-                        self.free_vc_in_class(out_port, front.vnet, subclass)
-                            .is_some()
-                    })
-                    .collect();
-                if grantable.is_empty() {
+                scratch.grantable.clear();
+                scratch.grantable.extend(
+                    scratch
+                        .candidates
+                        .iter()
+                        .filter(|c| self.free_vc_in_class(out_port, c.tag).is_some()),
+                );
+                let Some(winner) = self.va_arb[out_port].pick_with(&scratch.grantable, &*self.arb)
+                else {
                     break;
-                }
-                let winner_tag = self.va_arb[out_port]
-                    .pick_with(&grantable, &*self.arb)
-                    .expect("non-empty grantable set");
-                let (port, vc) = untag(winner_tag, self.cfg.vcs_per_port);
-                let (vnet, dest) = {
-                    let front = self.inputs[port].vcs[vc]
-                        .buf
-                        .front()
-                        .expect("winner has a front flit");
-                    (front.vnet, front.dest)
                 };
-                let subclass = self.mesh.vc_subclass(self.node, dest, out_dir);
                 let free = self
-                    .free_vc_in_class(out_port, vnet, subclass)
+                    .free_vc_in_class(out_port, winner)
                     .expect("winner was grantable");
-                self.outputs[out_port].owner[free] = Some((port, vc));
-                self.inputs[port].vcs[vc].out_vc = Some(free as u8);
-                candidates.retain(|c| c.tag != winner_tag);
+                self.out_vc_taken[out_port * v + free] = true;
+                self.vcs[winner].out_vc = Some(free as u8);
+                self.needs_va.remove(winner);
+                self.sa_ready.insert(winner);
+                scratch.candidates.retain(|c| c.tag != winner);
             }
         }
     }
 
-    /// First free downstream VC of `out_port` within the class of `vnet`,
-    /// optionally restricted to a dateline subclass (torus deadlock
-    /// avoidance: each vnet half splits into two quarter-ranges, and a hop
-    /// may only use the subclass [`Mesh::vc_subclass`] assigns to it).
-    fn free_vc_in_class(&self, out_port: usize, vnet: VNet, subclass: Option<u8>) -> Option<usize> {
-        let (start, end) = self.vnet_range(vnet);
-        let (start, end) = match subclass {
-            None => (start, end),
-            Some(s) => {
-                let quarter = (end - start) / 2;
-                let s = start + usize::from(s) * quarter;
-                (s, s + quarter)
-            }
-        };
-        (start..end).find(|&v| self.outputs[out_port].owner[v].is_none())
+    /// First free downstream VC of `out_port` within the class RC fixed for
+    /// the header at input VC `slot`.
+    fn free_vc_in_class(&self, out_port: usize, slot: usize) -> Option<usize> {
+        let (start, end) = self.vcs[slot].class;
+        let taken = &self.out_vc_taken[out_port * self.cfg.vcs_per_port..];
+        (usize::from(start)..usize::from(end)).find(|&v| !taken[v])
     }
 
     /// SA phase 1 (one VC per input port), SA phase 2 (one input per output
     /// port), then ST for the winners.
-    fn switch_allocate_and_traverse(&mut self, now: Cycle) {
-        let vcs = self.cfg.vcs_per_port;
-        // Phase 1: per input port, pick one ready VC.
-        let mut phase1: Vec<usize> = Vec::new(); // winning tags
-        for port in 0..self.inputs.len() {
-            let mut candidates: Vec<Candidate> = Vec::new();
-            for vc in 0..vcs {
-                let state = &self.inputs[port].vcs[vc];
-                let (Some(route), Some(out_vc)) = (state.route, state.out_vc) else {
-                    continue;
-                };
-                let Some(front) = state.buf.front() else {
-                    continue;
-                };
+    fn switch_allocate_and_traverse(&mut self, now: Cycle, scratch: &mut RouterScratch) {
+        // Phase 1: per input port, pick one ready VC. The set lists an
+        // input port's VCs consecutively.
+        scratch.requests.clear();
+        let v = self.cfg.vcs_per_port;
+        let mut next = self.sa_ready.first_from(0);
+        while let Some(first) = next {
+            let port = self.vcs[first].credit.in_port.index();
+            scratch.candidates.clear();
+            while let Some(slot) = next.filter(|&s| s < (port + 1) * v) {
+                next = self.sa_ready.first_from(slot + 1);
+                let state = &self.vcs[slot];
+                let route = state.route.expect("SA set is routed");
+                let out_vc = state.out_vc.expect("SA set holds a downstream VC");
+                let front = state.buf.front().expect("SA set holds a flit");
                 if front.ready_at > now {
                     continue;
                 }
-                let has_credit = route == Dir::Local
-                    || self.outputs[route.index()].credits[usize::from(out_vc)] > 0;
-                if !has_credit {
-                    continue;
+                let has_credit =
+                    route == Dir::Local || self.credits[self.slot(route, usize::from(out_vc))] > 0;
+                if has_credit {
+                    scratch.candidates.push(Self::candidate(slot, front, now));
                 }
-                candidates.push(Candidate {
-                    tag: tag_of(port, vc, vcs),
-                    priority: front.priority,
-                    effective_age: u64::from(front.age) + now.saturating_sub(front.arrived_at),
-                    batch: front.batch,
+            }
+            if let Some(tag) = self.sa_in_arb[port].pick_with(&scratch.candidates, &*self.arb) {
+                let state = &self.vcs[tag];
+                scratch.requests.push(PortRequest {
+                    out_port: state.route.expect("SA set is routed").index(),
+                    cand: Self::candidate(
+                        tag,
+                        state.buf.front().expect("winner holds a flit"),
+                        now,
+                    ),
                 });
             }
-            if let Some(tag) = self.sa_in_arb[port].pick_with(&candidates, &*self.arb) {
-                phase1.push(tag);
-            }
         }
-        // Phase 2: per output port, pick one phase-1 winner.
-        for out_port in 0..self.outputs.len() {
-            let candidates: Vec<Candidate> = phase1
-                .iter()
-                .filter_map(|&tag| {
-                    let (port, vc) = untag(tag, vcs);
-                    let state = &self.inputs[port].vcs[vc];
-                    // A winner granted to an earlier output port this cycle
-                    // has already traversed; its VC may be empty or rerouted.
-                    if state.route.map(Dir::index) != Some(out_port) {
-                        return None;
-                    }
-                    let front = state.buf.front()?;
-                    Some(Candidate {
-                        tag,
-                        priority: front.priority,
-                        effective_age: u64::from(front.age) + now.saturating_sub(front.arrived_at),
-                        batch: front.batch,
-                    })
-                })
-                .collect();
-            let Some(tag) = self.sa_out_arb[out_port].pick_with(&candidates, &*self.arb) else {
-                continue;
-            };
-            self.traverse(tag, now);
+        // Phase 2: per output port, pick one phase-1 winner. A winner asks
+        // for exactly one output port, so traversals never disturb the
+        // requests of the ports still to come.
+        let mut from = 0;
+        while let Some(out_port) = Self::next_port_candidates(scratch, from) {
+            from = out_port + 1;
+            let tag = self.sa_out_arb[out_port]
+                .pick_with(&scratch.candidates, &*self.arb)
+                .expect("an output port with requesters has a winner");
+            self.traverse(tag, now, &mut scratch.out);
         }
     }
 
     /// ST: move the winning flit out of its buffer, update its age, consume
     /// a credit, release the VC on tails, and emit a credit return.
-    fn traverse(&mut self, tag: usize, now: Cycle) {
-        let vcs = self.cfg.vcs_per_port;
-        let (port, vc) = untag(tag, vcs);
-        let state = &mut self.inputs[port].vcs[vc];
+    fn traverse(&mut self, slot: usize, now: Cycle, out: &mut RouterOutput) {
+        let state = &mut self.vcs[slot];
         let route = state.route.expect("traversing flit has a route");
         let out_vc = state.out_vc.expect("traversing flit has an output VC");
         let mut flit = state.buf.pop_front().expect("traversing flit exists");
@@ -471,13 +501,20 @@ impl Router {
             self.cfg.max_age(),
         );
         flit.vc = out_vc;
+        let out_slot = route.index() * self.cfg.vcs_per_port + usize::from(out_vc);
         if flit.kind.is_tail() {
             state.route = None;
             state.out_vc = None;
-            self.outputs[route.index()].owner[usize::from(out_vc)] = None;
+            self.out_vc_taken[out_slot] = false;
+            self.sa_ready.remove(slot);
+            if !state.buf.is_empty() {
+                self.needs_rc.insert(slot);
+            }
+        } else if state.buf.is_empty() {
+            self.sa_ready.remove(slot);
         }
         if route != Dir::Local {
-            let credit = &mut self.outputs[route.index()].credits[usize::from(out_vc)];
+            let credit = &mut self.credits[out_slot];
             debug_assert!(*credit > 0, "ST without credit");
             *credit -= 1;
         }
@@ -485,24 +522,19 @@ impl Router {
         if flit.priority == Priority::High {
             self.counters.high_priority_traversed += 1;
         }
-        self.out.credits.push(CreditReturn {
-            in_port: self.mesh.ports()[port],
-            vc: vc as u8,
-        });
-        self.out.traversals.push(Traversal {
+        out.credits.push(state.credit);
+        out.traversals.push(Traversal {
             out_port: route,
             flit,
         });
     }
 
-    /// Total flits currently buffered in this router (test/diagnostic aid).
+    /// Total flits currently buffered in this router, recounted from the
+    /// buffers (test/diagnostic aid; [`Router::occupancy`] is the running
+    /// count).
     #[must_use]
     pub fn buffered_flits(&self) -> usize {
-        self.inputs
-            .iter()
-            .flat_map(|p| p.vcs.iter())
-            .map(|v| v.buf.len())
-            .sum()
+        self.vcs.iter().map(|v| v.buf.len()).sum()
     }
 
     /// Longest time any buffered flit has waited at this router (watchdog
@@ -510,9 +542,8 @@ impl Router {
     /// buffers are FIFOs, so the front is the oldest.
     #[must_use]
     pub fn oldest_buffered_wait(&self, now: Cycle) -> Option<Cycle> {
-        self.inputs
+        self.vcs
             .iter()
-            .flat_map(|p| p.vcs.iter())
             .filter_map(|v| v.buf.front())
             .map(|f| now.saturating_sub(f.arrived_at))
             .max()

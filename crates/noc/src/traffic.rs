@@ -88,6 +88,7 @@ pub fn characterize(
     let warmup = cycles;
     let mut latencies = 0.0;
     let mut delivered = 0u64;
+    let mut mail = Vec::new();
     for t in 0..(warmup + cycles) {
         for node in mesh.nodes() {
             if rng.chance(p_inject) {
@@ -106,12 +107,11 @@ pub fn characterize(
             }
         }
         net.tick(t);
-        for node in mesh.nodes() {
-            for d in net.take_delivered(node) {
-                if t >= warmup {
-                    delivered += 1;
-                    latencies += d.network_latency() as f64;
-                }
+        net.drain_delivered(&mut mail);
+        for d in mail.drain(..) {
+            if t >= warmup {
+                delivered += 1;
+                latencies += d.network_latency() as f64;
             }
         }
     }
