@@ -4,22 +4,15 @@
 //! locality and shows how much the schemes depend on a competent scheduler
 //! downstream.
 //!
-//! Two parallel phases: alone-IPC denominators (one hardware point per
-//! scheduler — the schedulers genuinely differ even alone), then the
-//! 2 × 2 cell grid.
+//! Alone-IPC denominators first (one hardware point per scheduler — the
+//! schedulers genuinely differ even alone), then the four base/both cells
+//! as one grid.
 
-use noclat::{run_mix, weighted_speedup_of, MemSchedPolicy, SystemConfig};
-use noclat_bench::{banner, pct, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat::{weighted_speedup_of, MemSchedPolicy, SystemConfig};
+use noclat_bench::{banner, base_and_both, pct, w};
+use noclat_engine::{self as sweep, AloneMap, Json, Obj, SweepArgs};
 
 const SCHEDS: [MemSchedPolicy; 2] = [MemSchedPolicy::FrFcfs, MemSchedPolicy::Fcfs];
-
-fn hw_with_sched(seed: u64, sched: MemSchedPolicy) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.mem.scheduler = sched;
-    hw
-}
 
 fn main() {
     let args = SweepArgs::parse(&format!("ablation_memsched {}", sweep::SWEEP_USAGE));
@@ -27,41 +20,41 @@ fn main() {
         "Ablation: FR-FCFS vs FCFS memory scheduling (workload-8)",
         "Baseline WS and Scheme-1+2 gains per scheduler.",
     );
-    let lengths = args.lengths;
     let apps = w(8).apps();
+    let hws = SCHEDS.map(|sched| {
+        let mut hw = SystemConfig::baseline_32();
+        hw.seed = args.seed;
+        hw.mem.scheduler = sched;
+        hw
+    });
+    let alone = AloneMap::compute(&args, hws.iter().map(|hw| (hw, apps.as_slice())));
 
-    let requests: Vec<_> = SCHEDS
+    // One grid. Each cell reports its row-hit rate beside the weighted
+    // speedup, so the extractor carries both alone tables and picks the one
+    // of the scheduler the cell ran.
+    let tables: Vec<_> = hws
         .iter()
-        .map(|&s| (hw_with_sched(args.seed, s), apps.clone()))
+        .map(|hw| (hw.mem.scheduler, alone.table(hw, &apps)))
         .collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
-    for &sched in &SCHEDS {
-        let hw = hw_with_sched(args.seed, sched);
-        let table = alone.table(&hw, &apps);
-        for both in [false, true] {
-            let mut cfg = if both {
-                hw.clone().with_both_schemes()
-            } else {
-                hw.clone()
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            let label = if both { "both" } else { "base" };
-            jobs.push(Job::new(format!("memsched/{sched:?}/{label}"), move || {
-                let r = run_mix(&cfg, &apps, lengths);
-                let ws = weighted_speedup_of(&r, &table);
-                let hit_rate: f64 = (0..r.system.num_controllers())
-                    .map(|m| r.system.controller_stats(m).row_hit_rate())
-                    .sum::<f64>()
-                    / r.system.num_controllers() as f64;
-                (ws, hit_rate)
-            }));
-        }
-    }
-    let results = sweep::run_grid(&args, jobs);
+    let cells = SCHEDS
+        .iter()
+        .zip(&hws)
+        .flat_map(|(sched, hw)| base_and_both(&format!("memsched/{sched:?}"), hw, &apps))
+        .map(|(cell, _)| cell)
+        .collect();
+    let results = sweep::run_mix_grid(&args, cells, move |r| {
+        let sched = r.system.config().mem.scheduler;
+        let (_, table) = tables
+            .iter()
+            .find(|(s, _)| *s == sched)
+            .expect("a swept scheduler");
+        let controllers = r.system.num_controllers();
+        let hit_rate: f64 = (0..controllers)
+            .map(|m| r.system.controller_stats(m).row_hit_rate())
+            .sum::<f64>()
+            / controllers as f64;
+        (weighted_speedup_of(r, table), hit_rate)
+    });
 
     let mut rows_json = Vec::new();
     for (k, &sched) in SCHEDS.iter().enumerate() {

@@ -7,9 +7,9 @@
 //!
 //! Two parallel phases: alone-IPC denominators, then the six-variant grid.
 
-use noclat::SystemConfig;
-use noclat_bench::{banner, pct, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Obj, SweepArgs};
+use noclat::{Scheme, SystemConfig};
+use noclat_bench::{banner, pct, w};
+use noclat_engine::{self as sweep, MixCell, Obj, SweepArgs};
 
 fn main() {
     let args = SweepArgs::parse(&format!("ablation_priority {}", sweep::SWEEP_USAGE));
@@ -17,40 +17,31 @@ fn main() {
         "Ablation: prioritization machinery (workload-8)",
         "Normalized WS of Scheme-1+2 variants against the unprioritized baseline.",
     );
-    let lengths = args.lengths;
     let apps = w(8).apps();
     let mut hw = SystemConfig::baseline_32();
     hw.seed = args.seed;
-    let alone = AloneMap::compute(&args, &[(hw.clone(), apps.clone())]);
-    let table = alone.table(&hw, &apps);
 
-    let full = hw.clone().with_both_schemes();
+    let full = hw.clone().with_scheme(Scheme::Both);
     let mut no_bypass = full.clone();
     no_bypass.noc.bypass_enabled = false;
     let mut strict = full.clone();
     strict.noc.starvation_age_guard = 0;
 
-    let variants: Vec<(&str, SystemConfig)> = vec![
+    let cells = [
         ("baseline", hw.clone()),
-        ("s1", hw.clone().with_scheme1()),
-        ("s2", hw.clone().with_scheme2()),
+        ("s1", hw.clone().with_scheme(Scheme::S1)),
+        ("s2", hw.clone().with_scheme(Scheme::S2)),
         ("full", full),
         ("no_bypass", no_bypass),
         ("strict", strict),
-    ];
-    let jobs: Vec<Job<f64>> = variants
-        .iter()
-        .map(|(name, cfg)| {
-            let mut cfg = cfg.clone();
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            Job::new(format!("priority/{name}"), move || {
-                run_with_ws(&cfg, &apps, &table, lengths).1
-            })
-        })
-        .collect();
-    let ws = sweep::run_grid(&args, jobs);
+    ]
+    .into_iter()
+    .map(|(name, cfg)| {
+        let cell = MixCell::new(format!("priority/{name}"), cfg, apps.clone());
+        (cell, hw.clone())
+    })
+    .collect();
+    let ws = sweep::run_ws_grid(&args, cells);
     let base = ws[0];
 
     println!("baseline WS                    : {base:.3}");

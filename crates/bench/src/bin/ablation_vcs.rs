@@ -7,17 +7,10 @@
 //! the full hardware configuration), then the 3 × 2 cell grid.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat_bench::{banner, base_and_both, pct, w};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 
 const VCS: [usize; 3] = [2, 4, 8];
-
-fn hw_with_vcs(seed: u64, vcs: usize) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.noc.vcs_per_port = vcs;
-    hw
-}
 
 fn main() {
     let args = SweepArgs::parse(&format!("ablation_vcs {}", sweep::SWEEP_USAGE));
@@ -25,35 +18,17 @@ fn main() {
         "Ablation: VCs per port (workload-2)",
         "Baseline WS and Scheme-1+2 gains per VC count.",
     );
-    let lengths = args.lengths;
     let apps = w(2).apps();
-
-    let requests: Vec<_> = VCS
+    let cells = VCS
         .iter()
-        .map(|&v| (hw_with_vcs(args.seed, v), apps.clone()))
+        .flat_map(|&vcs| {
+            let mut hw = SystemConfig::baseline_32();
+            hw.seed = args.seed;
+            hw.noc.vcs_per_port = vcs;
+            base_and_both(&format!("vcs/{vcs}"), &hw, &apps)
+        })
         .collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
-    for &vcs in &VCS {
-        let hw = hw_with_vcs(args.seed, vcs);
-        let table = alone.table(&hw, &apps);
-        for both in [false, true] {
-            let mut cfg = if both {
-                hw.clone().with_both_schemes()
-            } else {
-                hw.clone()
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            let label = if both { "both" } else { "base" };
-            jobs.push(Job::new(format!("vcs/{vcs}/{label}"), move || {
-                run_with_ws(&cfg, &apps, &table, lengths).1
-            }));
-        }
-    }
-    let ws = sweep::run_grid(&args, jobs);
+    let ws = sweep::run_ws_grid(&args, cells);
 
     let mut rows_json = Vec::new();
     for (k, &vcs) in VCS.iter().enumerate() {

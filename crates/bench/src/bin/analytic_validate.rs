@@ -10,29 +10,19 @@
 //!
 //! The run lengths are pinned to the golden windows (they are part of what
 //! the model estimates — the torus cells are deliberately window-limited),
-//! so `--warmup`/`--measure`/`quick` are ignored. Writes
+//! so `--warmup`/`--measure`/`quick` are ignored, and `--policy`/
+//! `--topology` are rejected: the model column describes the pinned cells,
+//! so simulating anything else would compare two different systems. Writes
 //! `BENCH_analytic.json` (override with `--json PATH`).
 
-use noclat::{run_mix, RunLengths, SystemConfig, TopologyOverride};
+use noclat::{RunLengths, Scheme, SystemConfig, TopologyOverride};
 use noclat_analytic::AnalyticModel;
-use noclat_bench::{banner, merged_latency_histogram, w};
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat_bench::{banner, w};
+use noclat_engine::{self as sweep, CellMetrics, ExitCode, Json, MixCell, Obj, SweepArgs};
 use noclat_workloads::SpecApp;
 
 /// Workload driving every golden cell.
 const WORKLOAD: usize = 2;
-
-const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
-
-fn with_scheme(base: &SystemConfig, scheme: &str) -> SystemConfig {
-    match scheme {
-        "baseline" => base.clone(),
-        "s1" => base.clone().with_scheme1(),
-        "s2" => base.clone().with_scheme2(),
-        "both" => base.clone().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
-}
 
 /// One golden family: a base config, its placement and its pinned window.
 fn families() -> Vec<(&'static str, SystemConfig, Vec<SpecApp>, RunLengths)> {
@@ -58,31 +48,41 @@ fn families() -> Vec<(&'static str, SystemConfig, Vec<SpecApp>, RunLengths)> {
 }
 
 fn main() {
-    let args = SweepArgs::parse(&format!("analytic_validate {}", sweep::SWEEP_USAGE));
+    let usage = format!("analytic_validate {}", sweep::SWEEP_USAGE);
+    let args = SweepArgs::parse(&usage);
+    if !args.policy.is_empty() || !args.topology.is_empty() {
+        eprintln!(
+            "error: analytic_validate compares the model with its pinned golden cells; \
+             --policy/--topology would simulate different ones"
+        );
+        eprintln!("usage: {usage}");
+        ExitCode::Config.exit();
+    }
     banner(
         "Analytic-model validation: estimator vs cycle simulator",
         "Eight golden cells (mesh-32 + torus-16x16, four scheme combos); \
          relative error of the closed-form mean-latency estimate.",
     );
 
-    let mut jobs: Vec<Job<f64>> = Vec::new();
+    let mut cells = Vec::new();
     let mut estimates = Vec::new();
     let mut labels = Vec::new();
     for (family, base, apps, lengths) in families() {
-        for scheme in SCHEMES {
-            let cfg = with_scheme(&base, scheme);
+        for scheme in Scheme::ALL {
+            let cfg = base.clone().with_scheme(scheme);
+            let scheme = scheme.name();
             let model = AnalyticModel::new(&cfg, &apps)
                 .expect("golden configs validate")
                 .with_lengths(lengths.warmup, lengths.measure);
             estimates.push(model.evaluate());
             labels.push((family, scheme));
-            let apps = apps.clone();
-            jobs.push(Job::new(format!("analytic/{family}/{scheme}"), move || {
-                merged_latency_histogram(&run_mix(&cfg, &apps, lengths)).mean()
-            }));
+            cells.push(MixCell {
+                window: Some(lengths),
+                ..MixCell::new(format!("analytic/{family}/{scheme}"), cfg, apps.clone())
+            });
         }
     }
-    let simulated = sweep::run_grid(&args, jobs);
+    let simulated = sweep::run_mix_grid(&args, cells, |r| CellMetrics::of(r).mean_latency);
 
     println!(
         "{:>12} {:>9} {:>10} {:>10} {:>8} {:>9}",

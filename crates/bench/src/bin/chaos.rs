@@ -30,7 +30,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use noclat::{run_mix, RunLengths, SystemConfig};
-use noclat_engine::{self as sweep, exit_code, Job, Json, Obj, SweepArgs};
+use noclat_engine::{self as sweep, ExitCode, Job, Json, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const USAGE: &str = "chaos kill|truncate|corrupt|timeout|all [--dir PATH]";
@@ -43,7 +43,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(scenario) = argv.first() else {
         eprintln!("usage: {USAGE}");
-        std::process::exit(exit_code::CONFIG);
+        ExitCode::Config.exit();
     };
     if scenario == "worker" {
         worker(&argv[1..]);
@@ -56,7 +56,7 @@ fn main() {
             "--dir" => {
                 let Some(v) = argv.get(i + 1) else {
                     eprintln!("error: --dir needs a value");
-                    std::process::exit(exit_code::CONFIG);
+                    ExitCode::Config.exit();
                 };
                 dir = PathBuf::from(v);
                 i += 2;
@@ -64,13 +64,13 @@ fn main() {
             other => {
                 eprintln!("error: unknown argument {other}");
                 eprintln!("usage: {USAGE}");
-                std::process::exit(exit_code::CONFIG);
+                ExitCode::Config.exit();
             }
         }
     }
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("error: cannot create {}: {e}", dir.display());
-        std::process::exit(exit_code::GENERIC);
+        ExitCode::Generic.exit();
     }
 
     let ok = match scenario.as_str() {
@@ -88,14 +88,14 @@ fn main() {
         other => {
             eprintln!("error: unknown scenario {other}");
             eprintln!("usage: {USAGE}");
-            std::process::exit(exit_code::CONFIG);
+            ExitCode::Config.exit();
         }
     };
     if ok {
         println!("chaos: all scenario checks passed");
     } else {
         eprintln!("chaos: FAILED");
-        std::process::exit(exit_code::GENERIC);
+        ExitCode::Generic.exit();
     }
 }
 
@@ -132,11 +132,11 @@ fn worker(argv: &[String]) {
     }
     let (args, rest) = SweepArgs::parse_argv(&filtered).unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        std::process::exit(exit_code::CONFIG);
+        ExitCode::Config.exit();
     });
     if let Some(unknown) = rest.first() {
         eprintln!("error: unknown argument {unknown}");
-        std::process::exit(exit_code::CONFIG);
+        ExitCode::Config.exit();
     }
 
     let lengths = RunLengths {
@@ -372,8 +372,8 @@ fn scenario_timeout(dir: &Path) -> bool {
     );
     let mut ok = check(
         "timeout/exit-code",
-        code == exit_code::JOB_TIMEOUT,
-        &format!("exit {code}, want {}", exit_code::JOB_TIMEOUT),
+        code == ExitCode::JobTimeout.code(),
+        &format!("exit {code}, want {}", ExitCode::JobTimeout),
     );
     ok &= check(
         "timeout/no-report",

@@ -15,13 +15,13 @@
 //!
 //! All 16 cells run as one pool grid.
 //!
-//! Exit codes (shared with every sweep binary, see `sweep::exit_code`):
+//! Exit codes (shared with every sweep binary, see `noclat_engine::ExitCode`):
 //! 0 success, 2 bad arguments/configuration, 3 a cell panicked, 4 a cell
 //! exceeded `--job-timeout`, 5 transactions were lost (watchdog/liveness
 //! regression).
 
-use noclat::{run_mix, FaultPlan, SystemConfig};
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat::{FaultPlan, Scheme, SystemConfig};
+use noclat_engine::{self as sweep, ExitCode, Json, MixCell, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const USAGE: &str = "faultsim [--jobs N] [--json PATH] [--workload 1..18] [--warmup N] \
@@ -29,20 +29,6 @@ const USAGE: &str = "faultsim [--jobs N] [--json PATH] [--workload 1..18] [--war
      [--kernel cycle|event] [--resume PATH] [--job-timeout SECS] [--retries N]";
 
 const DROP_RATES: [f64; 4] = [0.0, 1e-5, 1e-4, 1e-3];
-const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
-
-fn scheme_config(name: &str) -> SystemConfig {
-    let mut cfg = SystemConfig::baseline_32();
-    match name {
-        "baseline" => {}
-        "s1" => cfg.scheme1.enabled = true,
-        "s2" => cfg.scheme2.enabled = true,
-        "both" => cfg = cfg.with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
-    cfg
-}
-
 /// One sweep cell: completed off-chip accesses, aggregate IPC, and the
 /// robustness counters.
 type Cell = (u64, f64, u64, u64, u64, u64, u64);
@@ -115,45 +101,34 @@ fn main() {
         "violations"
     );
 
-    let mut jobs = Vec::new();
-    for scheme in SCHEMES {
+    let mut grid = Vec::new();
+    for scheme in Scheme::ALL {
         for &rate in &DROP_RATES {
-            let apps = apps.clone();
-            let seed = args.seed;
-            let policy = args.policy.clone();
-            let kernel = args.kernel;
-            jobs.push(Job::new(
-                format!("faultsim/{scheme}/{rate:e}"),
-                move || -> Cell {
-                    let mut cfg = scheme_config(scheme);
-                    cfg.seed = seed;
-                    policy.apply(&mut cfg);
-                    cfg.kernel = kernel;
-                    if rate > 0.0 {
-                        cfg.faults = FaultPlan::uniform_drop(seed ^ rate.to_bits(), rate);
-                    }
-                    let r = run_mix(&cfg, &apps, lengths);
-                    let offchip: u64 = r.per_app.iter().map(|a| a.offchip).sum();
-                    let ipc: f64 = r.per_app.iter().map(|a| a.ipc).sum();
-                    let rb = r.system.robustness();
-                    (
-                        offchip,
-                        ipc,
-                        rb.packets_dropped,
-                        rb.retries,
-                        rb.timeouts,
-                        rb.lost_txns,
-                        rb.violations,
-                    )
-                },
-            ));
+            let mut cfg = SystemConfig::baseline_32().with_scheme(scheme);
+            cfg.seed = args.seed;
+            if rate > 0.0 {
+                cfg.faults = FaultPlan::uniform_drop(args.seed ^ rate.to_bits(), rate);
+            }
+            let label = format!("faultsim/{}/{rate:e}", scheme.name());
+            grid.push(MixCell::new(label, cfg, apps.clone()));
         }
     }
-    let cells = sweep::run_grid(&args, jobs);
+    let cells = sweep::run_mix_grid(&args, grid, |r| -> Cell {
+        let rb = r.system.robustness();
+        (
+            r.per_app.iter().map(|a| a.offchip).sum(),
+            r.per_app.iter().map(|a| a.ipc).sum(),
+            rb.packets_dropped,
+            rb.retries,
+            rb.timeouts,
+            rb.lost_txns,
+            rb.violations,
+        )
+    });
 
     let mut all_retired = true;
     let mut cells_json = Vec::new();
-    for (k, scheme) in SCHEMES.iter().enumerate() {
+    for (k, scheme) in Scheme::ALL.iter().map(Scheme::name).enumerate() {
         for (j, &rate) in DROP_RATES.iter().enumerate() {
             let (offchip, ipc, dropped, retries, timeouts, lost, violations) =
                 cells[k * DROP_RATES.len() + j];
@@ -166,7 +141,7 @@ fn main() {
             );
             cells_json.push(
                 Obj::new()
-                    .field("scheme", *scheme)
+                    .field("scheme", scheme)
                     .field("drop_rate", rate)
                     .field("offchip", offchip)
                     .field("ipc", ipc)
@@ -198,6 +173,6 @@ fn main() {
     if !all_retired {
         // Distinct from config errors (2) and quarantined jobs (3/4), so CI
         // can tell a liveness regression apart from a harness failure.
-        std::process::exit(sweep::exit_code::WATCHDOG);
+        ExitCode::Watchdog.exit();
     }
 }

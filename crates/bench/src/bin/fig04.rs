@@ -11,10 +11,10 @@
 //! worker pool; breakdown rows merge exactly, so reports are identical for
 //! every `--jobs` value.
 
-use noclat::{run_mix, AppLatency, SystemConfig};
-use noclat_bench::{banner, core_of};
+use noclat::AppLatency;
+use noclat_bench::{banner, core_of, w2_baseline};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs, DEFAULT_SHARDS};
-use noclat_workloads::{workload, SpecApp};
+use noclat_workloads::SpecApp;
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig04 {}", sweep::SWEEP_USAGE));
@@ -22,16 +22,8 @@ fn main() {
         "Figure 4: Per-range breakdown of off-chip access delay (milc, workload-2)",
         "Columns: delay range start | count | L1->L2 | L2->Mem | Mem | Mem->L2 | L2->L1",
     );
-    let lengths = args.lengths;
-    let policy = args.policy.clone();
-    let kernel = args.kernel;
-    let shards = sweep::run_shards(&args, "fig04/w2", DEFAULT_SHARDS, move |_, seed| {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.seed = seed;
-        policy.apply(&mut cfg);
-        cfg.kernel = kernel;
-        let r = run_mix(&cfg, &workload(2).apps(), lengths);
-        let core = core_of(&r, SpecApp::Milc).expect("workload-2 contains milc");
+    let shards = sweep::run_mix_shards(&args, &w2_baseline("fig04"), |r| {
+        let core = core_of(r, SpecApp::Milc).expect("workload-2 contains milc");
         (core, r.system.tracker().app(core).clone())
     });
     let core = shards[0].0;

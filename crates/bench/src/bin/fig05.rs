@@ -8,10 +8,10 @@
 //! Sharded across independently seeded replicates on the worker pool; the
 //! merged histogram is identical for every `--jobs` value.
 
-use noclat::{run_mix, AppLatency, SystemConfig};
-use noclat_bench::{banner, core_of};
+use noclat::AppLatency;
+use noclat_bench::{banner, core_of, w2_baseline};
 use noclat_engine::{self as sweep, histogram_json, Obj, SweepArgs, DEFAULT_SHARDS};
-use noclat_workloads::{workload, SpecApp};
+use noclat_workloads::SpecApp;
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig05 {}", sweep::SWEEP_USAGE));
@@ -19,16 +19,8 @@ fn main() {
         "Figure 5: Latency distribution of milc's off-chip accesses (workload-2)",
         "Columns: delay bin center | fraction of accesses | bar",
     );
-    let lengths = args.lengths;
-    let policy = args.policy.clone();
-    let kernel = args.kernel;
-    let shards = sweep::run_shards(&args, "fig05/w2", DEFAULT_SHARDS, move |_, seed| {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.seed = seed;
-        policy.apply(&mut cfg);
-        cfg.kernel = kernel;
-        let r = run_mix(&cfg, &workload(2).apps(), lengths);
-        let core = core_of(&r, SpecApp::Milc).expect("workload-2 contains milc");
+    let shards = sweep::run_mix_shards(&args, &w2_baseline("fig05"), |r| {
+        let core = core_of(r, SpecApp::Milc).expect("workload-2 contains milc");
         r.system.tracker().app(core).clone()
     });
     let mut app = AppLatency::empty();

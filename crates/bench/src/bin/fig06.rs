@@ -9,10 +9,8 @@
 //! samples the same number of instants), reduced in shard order so the
 //! report is identical for every `--jobs` value.
 
-use noclat::{run_mix, SystemConfig};
-use noclat_bench::banner;
+use noclat_bench::{banner, w2_baseline};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs, DEFAULT_SHARDS};
-use noclat_workloads::workload;
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig06 {}", sweep::SWEEP_USAGE));
@@ -20,15 +18,7 @@ fn main() {
         "Figure 6: Average idleness of the banks of memory controller 0 (workload-2)",
         "A bank is idle when its queue is empty at a sampling instant.",
     );
-    let lengths = args.lengths;
-    let policy = args.policy.clone();
-    let kernel = args.kernel;
-    let shards = sweep::run_shards(&args, "fig06/w2", DEFAULT_SHARDS, move |_, seed| {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.seed = seed;
-        policy.apply(&mut cfg);
-        cfg.kernel = kernel;
-        let r = run_mix(&cfg, &workload(2).apps(), lengths);
+    let shards = sweep::run_mix_shards(&args, &w2_baseline("fig06"), |r| {
         (
             r.system.idleness(0).per_bank_idleness(),
             r.system.idleness(0).overall(),

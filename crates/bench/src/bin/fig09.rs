@@ -12,10 +12,10 @@
 //! exactly, so `--jobs 1` and `--jobs 8` print and serialize identical
 //! reports.
 
-use noclat::{run_mix, AppLatency, SystemConfig};
-use noclat_bench::{banner, core_of};
+use noclat::{AppLatency, SystemConfig};
+use noclat_bench::{banner, core_of, w2_baseline};
 use noclat_engine::{self as sweep, histogram_json, Obj, SweepArgs, DEFAULT_SHARDS};
-use noclat_workloads::{workload, SpecApp};
+use noclat_workloads::SpecApp;
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig09 {}", sweep::SWEEP_USAGE));
@@ -23,16 +23,8 @@ fn main() {
         "Figure 9: Round-trip vs so-far delay distributions (milc, workload-2)",
         "Columns: bin center | round-trip fraction | so-far fraction",
     );
-    let lengths = args.lengths;
-    let policy = args.policy.clone();
-    let kernel = args.kernel;
-    let shards = sweep::run_shards(&args, "fig09/w2", DEFAULT_SHARDS, move |_, seed| {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.seed = seed;
-        policy.apply(&mut cfg);
-        cfg.kernel = kernel;
-        let r = run_mix(&cfg, &workload(2).apps(), lengths);
-        let core = core_of(&r, SpecApp::Milc).expect("workload-2 contains milc");
+    let shards = sweep::run_mix_shards(&args, &w2_baseline("fig09"), |r| {
+        let core = core_of(r, SpecApp::Milc).expect("workload-2 contains milc");
         r.system.tracker().app(core).clone()
     });
     let mut app = AppLatency::empty();

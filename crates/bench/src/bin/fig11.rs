@@ -11,10 +11,9 @@
 //! and the 18 × 3 workload × scheme mix grid.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
-use noclat_sim::stats::geomean;
-use noclat_workloads::{indices_of, WorkloadKind};
+use noclat_bench::{banner, pct, scheme_gain_panels};
+use noclat_engine::{self as sweep, Obj, SweepArgs};
+use noclat_workloads::Workload;
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig11 {}", sweep::SWEEP_USAGE));
@@ -22,97 +21,27 @@ fn main() {
         "Figure 11: Normalized weighted speedup, 18 workloads, 32-core system",
         "Bars: Scheme-1 and Scheme-1+Scheme-2, normalized to the baseline.",
     );
-    let lengths = args.lengths;
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = args.seed;
-
-    let requests: Vec<_> = (1..=18).map(|i| (hw.clone(), w(i).apps())).collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
-    for i in 1..=18 {
-        let apps = w(i).apps();
-        let table = alone.table(&hw, &apps);
-        for variant in ["base", "s1", "both"] {
-            let mut cfg = match variant {
-                "base" => hw.clone(),
-                "s1" => hw.clone().with_scheme1(),
-                _ => hw.clone().with_both_schemes(),
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            jobs.push(Job::new(
-                format!("fig11/{}/{variant}", w(i).name()),
-                move || run_with_ws(&cfg, &apps, &table, lengths).1,
-            ));
-        }
-    }
-    let ws = sweep::run_grid(&args, jobs);
-
-    let mut rows_json = Vec::new();
-    let mut geo_json = Obj::new();
-    for kind in [
-        WorkloadKind::Mixed,
-        WorkloadKind::MemIntensive,
-        WorkloadKind::MemNonIntensive,
-    ] {
-        println!("\n--- {kind:?} ---");
-        println!(
-            "{:>12} {:>9} {:>10} {:>12}",
-            "workload", "base WS", "Scheme-1", "Scheme-1+2"
-        );
-        let mut s1s = Vec::new();
-        let mut boths = Vec::new();
-        for i in indices_of(kind) {
-            let base = ws[(i - 1) * 3];
-            let s1 = ws[(i - 1) * 3 + 1] / base;
-            let both = ws[(i - 1) * 3 + 2] / base;
+    let body = scheme_gain_panels(
+        &args,
+        "fig11",
+        SystemConfig::baseline_32(),
+        Workload::apps,
+        Obj::new(),
+        |g1, g2| {
             println!(
-                "{:>12} {:>9.3} {:>10.3} {:>12.3}",
-                w(i).name(),
-                base,
-                s1,
-                both
+                "{:>12} {:>9} {:>10} {:>12}   (Scheme-1 {}, Scheme-1+2 {})",
+                "geomean",
+                "",
+                format!("{g1:.3}"),
+                format!("{g2:.3}"),
+                pct(g1),
+                pct(g2)
             );
-            s1s.push(s1);
-            boths.push(both);
-            rows_json.push(
-                Obj::new()
-                    .field("workload", w(i).name())
-                    .field("kind", format!("{kind:?}"))
-                    .field("base_ws", base)
-                    .field("s1", s1)
-                    .field("both", both)
-                    .build(),
-            );
-        }
-        let g1 = geomean(&s1s).unwrap_or(1.0);
-        let g2 = geomean(&boths).unwrap_or(1.0);
-        println!(
-            "{:>12} {:>9} {:>10} {:>12}   (Scheme-1 {}, Scheme-1+2 {})",
-            "geomean",
-            "",
-            format!("{g1:.3}"),
-            format!("{g2:.3}"),
-            pct(g1),
-            pct(g2)
-        );
-        geo_json = geo_json.field(
-            format!("{kind:?}"),
-            Obj::new().field("s1", g1).field("both", g2).build(),
-        );
-    }
+        },
+    );
     println!("\nPaper: up to +13% (mixed), +15% (intensive), +1% (non-intensive) for Scheme-1+2.");
     println!("See EXPERIMENTS.md for the magnitude discussion.");
 
-    let json = sweep::report(
-        "fig11",
-        &args,
-        Obj::new()
-            .field("workloads", Json::Arr(rows_json))
-            .field("geomeans", geo_json.build())
-            .build(),
-    );
+    let json = sweep::report("fig11", &args, body.build());
     sweep::finish(&args, &json);
 }

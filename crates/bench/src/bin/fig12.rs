@@ -10,9 +10,11 @@
 //! (shard `s` uses the same derived seed under both variants) whose latency
 //! trackers merge exactly, so reports are identical for every `--jobs`.
 
-use noclat::{run_mix, LatencyTracker, SystemConfig};
+use noclat::{LatencyTracker, Scheme, SystemConfig};
 use noclat_bench::banner;
-use noclat_engine::{self as sweep, histogram_json, job_seed, Job, Obj, SweepArgs, DEFAULT_SHARDS};
+use noclat_engine::{
+    self as sweep, histogram_json, job_seed, MixCell, Obj, SweepArgs, DEFAULT_SHARDS,
+};
 use noclat_workloads::{workload, SpecApp};
 
 fn cdf_row(t: &LatencyTracker, cores: &[usize], x: u64) -> Vec<f64> {
@@ -49,34 +51,22 @@ fn main() {
         "Figure 12: CDFs of off-chip latency, first 8 apps of workload-1; PDF of lbm",
         "(a) baseline, (b) Scheme-1, (c) lbm PDF before/after.",
     );
-    let lengths = args.lengths;
     let apps = workload(1).apps();
     let lbm = apps
         .iter()
         .position(|&a| a == SpecApp::Lbm)
         .expect("workload-1 contains lbm");
 
-    let mut jobs = Vec::new();
-    for scheme1 in [false, true] {
+    let mut cells = Vec::new();
+    for (variant, scheme) in [("base", Scheme::Baseline), ("s1", Scheme::S1)] {
         for s in 0..DEFAULT_SHARDS {
-            let seed = job_seed(args.seed, s); // paired across variants
-            let apps = apps.clone();
-            let policy = args.policy.clone();
-            let kernel = args.kernel;
-            let label = if scheme1 { "fig12/s1" } else { "fig12/base" };
-            jobs.push(Job::new(format!("{label}/shard-{s}"), move || {
-                let mut cfg = SystemConfig::baseline_32();
-                if scheme1 {
-                    cfg = cfg.with_scheme1();
-                }
-                cfg.seed = seed;
-                policy.apply(&mut cfg);
-                cfg.kernel = kernel;
-                run_mix(&cfg, &apps, lengths).system.tracker().clone()
-            }));
+            let mut cfg = SystemConfig::baseline_32().with_scheme(scheme);
+            cfg.seed = job_seed(args.seed, s); // paired across variants
+            let label = format!("fig12/{variant}/shard-{s}");
+            cells.push(MixCell::new(label, cfg, apps.clone()));
         }
     }
-    let mut results = sweep::run_grid(&args, jobs);
+    let mut results = sweep::run_mix_grid(&args, cells, |r| r.system.tracker().clone());
     let shards = DEFAULT_SHARDS as usize;
     let s1_shards = results.split_off(shards);
     let mut base = results.remove(0);

@@ -10,9 +10,9 @@
 //!
 //! All four (workload × scheme) cells run as one pool grid.
 
-use noclat::{run_mix, SystemConfig};
+use noclat::{Scheme, SystemConfig};
 use noclat_bench::banner;
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat_engine::{self as sweep, Json, MixCell, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const WORKLOADS: [usize; 2] = [1, 8];
@@ -23,31 +23,21 @@ fn main() {
         "Figure 13: Bank idleness of controller 0, default vs Scheme-2",
         "A bank is idle when its queue is empty at a sampling instant.",
     );
-    let lengths = args.lengths;
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for &widx in &WORKLOADS {
-        for scheme2 in [false, true] {
-            let seed = args.seed;
-            let policy = args.policy.clone();
-            let kernel = args.kernel;
-            let label = if scheme2 { "scheme2" } else { "default" };
-            jobs.push(Job::new(format!("fig13/w{widx}/{label}"), move || {
-                let mut cfg = SystemConfig::baseline_32();
-                if scheme2 {
-                    cfg = cfg.with_scheme2();
-                }
-                cfg.seed = seed;
-                policy.apply(&mut cfg);
-                cfg.kernel = kernel;
-                let r = run_mix(&cfg, &workload(widx).apps(), lengths);
-                (
-                    r.system.idleness(0).per_bank_idleness(),
-                    r.system.idleness(0).overall(),
-                )
-            }));
+        for (label, scheme) in [("default", Scheme::Baseline), ("scheme2", Scheme::S2)] {
+            let mut cfg = SystemConfig::baseline_32().with_scheme(scheme);
+            cfg.seed = args.seed;
+            let label = format!("fig13/w{widx}/{label}");
+            cells.push(MixCell::new(label, cfg, workload(widx).apps()));
         }
     }
-    let results = sweep::run_grid(&args, jobs);
+    let results = sweep::run_mix_grid(&args, cells, |r| {
+        (
+            r.system.idleness(0).per_bank_idleness(),
+            r.system.idleness(0).overall(),
+        )
+    });
 
     let mut rows_json = Vec::new();
     for (k, &widx) in WORKLOADS.iter().enumerate() {

@@ -10,10 +10,9 @@
 //! 18 × 3 workload × scheme mix grid.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
-use noclat_sim::stats::geomean;
-use noclat_workloads::{indices_of, WorkloadKind};
+use noclat_bench::{banner, pct, scheme_gain_panels};
+use noclat_engine::{self as sweep, Obj, SweepArgs};
+use noclat_workloads::Workload;
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig15 {}", sweep::SWEEP_USAGE));
@@ -21,93 +20,22 @@ fn main() {
         "Figure 15: Normalized weighted speedup on the 16-core (4x4) system",
         "First half of each Table-2 workload; 2 memory controllers.",
     );
-    let lengths = args.lengths;
-    let mut hw = SystemConfig::baseline_16();
-    hw.seed = args.seed;
-
-    let requests: Vec<_> = (1..=18).map(|i| (hw.clone(), w(i).first_half())).collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
-    for i in 1..=18 {
-        let apps = w(i).first_half();
-        let table = alone.table(&hw, &apps);
-        for variant in ["base", "s1", "both"] {
-            let mut cfg = match variant {
-                "base" => hw.clone(),
-                "s1" => hw.clone().with_scheme1(),
-                _ => hw.clone().with_both_schemes(),
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            jobs.push(Job::new(
-                format!("fig15/{}/{variant}", w(i).name()),
-                move || run_with_ws(&cfg, &apps, &table, lengths).1,
-            ));
-        }
-    }
-    let ws = sweep::run_grid(&args, jobs);
-
-    let mut rows_json = Vec::new();
-    let mut geo_json = Obj::new();
-    for kind in [
-        WorkloadKind::Mixed,
-        WorkloadKind::MemIntensive,
-        WorkloadKind::MemNonIntensive,
-    ] {
-        println!("\n--- {kind:?} ---");
-        println!(
-            "{:>12} {:>9} {:>10} {:>12}",
-            "workload", "base WS", "Scheme-1", "Scheme-1+2"
-        );
-        let mut s1s = Vec::new();
-        let mut boths = Vec::new();
-        for i in indices_of(kind) {
-            let base = ws[(i - 1) * 3];
-            let s1 = ws[(i - 1) * 3 + 1] / base;
-            let both = ws[(i - 1) * 3 + 2] / base;
-            println!(
-                "{:>12} {:>9.3} {:>10.3} {:>12.3}",
-                w(i).name(),
-                base,
-                s1,
-                both
-            );
-            s1s.push(s1);
-            boths.push(both);
-            rows_json.push(
-                Obj::new()
-                    .field("workload", w(i).name())
-                    .field("kind", format!("{kind:?}"))
-                    .field("base_ws", base)
-                    .field("s1", s1)
-                    .field("both", both)
-                    .build(),
-            );
-        }
-        let g1 = geomean(&s1s).unwrap_or(1.0);
-        let g2 = geomean(&boths).unwrap_or(1.0);
-        println!(
-            "{:>12} geomean: Scheme-1 {}, Scheme-1+2 {}",
-            "",
-            pct(g1),
-            pct(g2)
-        );
-        geo_json = geo_json.field(
-            format!("{kind:?}"),
-            Obj::new().field("s1", g1).field("both", g2).build(),
-        );
-    }
-
-    let json = sweep::report(
-        "fig15",
+    let body = scheme_gain_panels(
         &args,
-        Obj::new()
-            .field("cores", 16u64)
-            .field("workloads", Json::Arr(rows_json))
-            .field("geomeans", geo_json.build())
-            .build(),
+        "fig15",
+        SystemConfig::baseline_16(),
+        Workload::first_half,
+        Obj::new().field("cores", 16u64),
+        |g1, g2| {
+            println!(
+                "{:>12} geomean: Scheme-1 {}, Scheme-1+2 {}",
+                "",
+                pct(g1),
+                pct(g2)
+            );
+        },
     );
+
+    let json = sweep::report("fig15", &args, body.build());
     sweep::finish(&args, &json);
 }

@@ -7,12 +7,12 @@
 //! Two parallel phases: alone-IPC denominators, then the 6 × 4 cell grid
 //! (baseline plus three thresholds per workload).
 
-use noclat::SystemConfig;
-use noclat_bench::{banner, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
-use noclat_sim::stats::geomean;
+use noclat::{Scheme, SystemConfig};
+use noclat_bench::{banner, keyed, ratio_table, w};
+use noclat_engine::{self as sweep, Json, MixCell, Obj, SweepArgs};
 
 const FACTORS: [f64; 3] = [1.0, 1.2, 1.4];
+const KEYS: [&str; 3] = ["t1.0", "t1.2", "t1.4"];
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig16a {}", sweep::SWEEP_USAGE));
@@ -20,71 +20,40 @@ fn main() {
         "Figure 16a: Threshold sensitivity (workloads 1-6, Scheme-1+2)",
         "Normalized WS for thresholds 1.0x, 1.2x and 1.4x Delay_avg.",
     );
-    let lengths = args.lengths;
     let mut hw = SystemConfig::baseline_32();
     hw.seed = args.seed;
 
-    let requests: Vec<_> = (1..=6).map(|i| (hw.clone(), w(i).apps())).collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for i in 1..=6 {
-        let apps = w(i).apps();
-        let table = alone.table(&hw, &apps);
-        for factor in [0.0].iter().chain(FACTORS.iter()) {
-            // factor 0.0 marks the unprioritized baseline cell
-            let mut cfg = if *factor == 0.0 {
-                hw.clone()
-            } else {
-                let mut c = hw.clone().with_both_schemes();
-                c.scheme1.threshold_factor = *factor;
-                c
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            jobs.push(Job::new(
-                format!("fig16a/{}/t{factor}", w(i).name()),
-                move || run_with_ws(&cfg, &apps, &table, lengths).1,
-            ));
+        // factor 0.0 marks the unprioritized baseline cell
+        for factor in [0.0].iter().chain(&FACTORS) {
+            let mut cfg = hw.clone();
+            if *factor != 0.0 {
+                cfg = cfg.with_scheme(Scheme::Both);
+                cfg.scheme1.threshold_factor = *factor;
+            }
+            let label = format!("fig16a/{}/t{factor}", w(i).name());
+            cells.push((MixCell::new(label, cfg, w(i).apps()), hw.clone()));
         }
     }
-    let ws = sweep::run_grid(&args, jobs);
+    let ws = sweep::run_ws_grid(&args, cells);
 
-    println!(
-        "{:>12} {:>8} {:>8} {:>8}",
-        "workload", "1.0x", "1.2x", "1.4x"
-    );
-    let mut cols: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut rows_json = Vec::new();
-    for i in 1..=6 {
-        let base = ws[(i - 1) * 4];
-        let row: Vec<f64> = (0..3).map(|k| ws[(i - 1) * 4 + 1 + k] / base).collect();
-        for (k, v) in row.iter().enumerate() {
-            cols[k].push(*v);
-        }
-        println!(
-            "{:>12} {:>8.3} {:>8.3} {:>8.3}",
-            w(i).name(),
-            row[0],
-            row[1],
-            row[2]
-        );
-        rows_json.push(
-            Obj::new()
-                .field("workload", w(i).name())
-                .field("base_ws", base)
-                .field("t1.0", row[0])
-                .field("t1.2", row[1])
-                .field("t1.4", row[2])
-                .build(),
-        );
-    }
-    let geo: Vec<f64> = cols.iter().map(|c| geomean(c).unwrap_or(1.0)).collect();
-    println!(
-        "{:>12} {:>8.3} {:>8.3} {:>8.3}",
-        "geomean", geo[0], geo[1], geo[2]
-    );
+    // Per workload: the baseline WS, then each variant's WS over it.
+    let rows: Vec<(String, Vec<f64>)> = (1..=6)
+        .zip(ws.chunks(4))
+        .map(|(i, c)| (w(i).name(), c[1..].iter().map(|v| v / c[0]).collect()))
+        .collect();
+    let geo = ratio_table(8, &["1.0x", "1.2x", "1.4x"], &rows);
+    let rows_json = rows
+        .iter()
+        .zip(ws.chunks(4))
+        .map(|((name, row), c)| {
+            let obj = Obj::new()
+                .field("workload", name.as_str())
+                .field("base_ws", c[0]);
+            keyed(obj, &KEYS, row).build()
+        })
+        .collect();
 
     let json = sweep::report(
         "fig16a",
@@ -92,17 +61,10 @@ fn main() {
         Obj::new()
             .field(
                 "factors",
-                Json::Arr(FACTORS.iter().map(|&f| Json::Num(f)).collect()),
+                Json::Arr(FACTORS.iter().map(|&v| Json::Num(v)).collect()),
             )
             .field("workloads", Json::Arr(rows_json))
-            .field(
-                "geomeans",
-                Obj::new()
-                    .field("t1.0", geo[0])
-                    .field("t1.2", geo[1])
-                    .field("t1.4", geo[2])
-                    .build(),
-            )
+            .field("geomeans", keyed(Obj::new(), &KEYS, &geo).build())
             .build(),
     );
     sweep::finish(&args, &json);

@@ -10,18 +10,11 @@
 //! 6 × 2 × 2 cell grid.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
-use noclat_sim::stats::geomean;
+use noclat_bench::{banner, base_and_both, keyed, ratio_table, w};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 
 const MCS: [usize; 2] = [4, 2];
-
-fn hw_with_mcs(seed: u64, mcs: usize) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.mem.num_controllers = mcs;
-    hw
-}
+const KEYS: [&str; 2] = ["mc4", "mc2"];
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig16c {}", sweep::SWEEP_USAGE));
@@ -29,74 +22,36 @@ fn main() {
         "Figure 16c: 2 vs 4 memory controllers (workloads 1-6, Scheme-1+2)",
         "Normalized WS per controller count.",
     );
-    let lengths = args.lengths;
 
-    let mut requests = Vec::new();
-    for &mcs in &MCS {
-        for i in 1..=6 {
-            requests.push((hw_with_mcs(args.seed, mcs), w(i).apps()));
-        }
-    }
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for i in 1..=6 {
-        let apps = w(i).apps();
-        for &mcs in &MCS {
-            let hw = hw_with_mcs(args.seed, mcs);
-            let table = alone.table(&hw, &apps);
-            for both in [false, true] {
-                let mut cfg = if both {
-                    hw.clone().with_both_schemes()
-                } else {
-                    hw.clone()
-                };
-                args.apply_policy(&mut cfg);
-                let apps = apps.clone();
-                let table = table.clone();
-                let label = if both { "both" } else { "base" };
-                jobs.push(Job::new(
-                    format!("fig16c/{}/{mcs}mc/{label}", w(i).name()),
-                    move || run_with_ws(&cfg, &apps, &table, lengths).1,
-                ));
-            }
+        for &point in &MCS {
+            let mut hw = SystemConfig::baseline_32();
+            hw.seed = args.seed;
+            hw.mem.num_controllers = point;
+            let prefix = format!("fig16c/{}/{point}mc", w(i).name());
+            cells.extend(base_and_both(&prefix, &hw, &w(i).apps()));
         }
     }
-    let ws = sweep::run_grid(&args, jobs);
+    let ws = sweep::run_ws_grid(&args, cells);
 
-    println!("{:>12} {:>8} {:>8}", "workload", "4 MCs", "2 MCs");
-    let mut cols: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    let mut rows_json = Vec::new();
-    for i in 1..=6 {
-        let mut row = Vec::new();
-        for (k, col) in cols.iter_mut().enumerate() {
-            let at = (i - 1) * 4 + k * 2;
-            let v = ws[at + 1] / ws[at];
-            row.push(v);
-            col.push(v);
-        }
-        println!("{:>12} {:>8.3} {:>8.3}", w(i).name(), row[0], row[1]);
-        rows_json.push(
-            Obj::new()
-                .field("workload", w(i).name())
-                .field("mc4", row[0])
-                .field("mc2", row[1])
-                .build(),
-        );
-    }
-    let g4 = geomean(&cols[0]).unwrap_or(1.0);
-    let g2 = geomean(&cols[1]).unwrap_or(1.0);
-    println!("{:>12} {:>8.3} {:>8.3}", "geomean", g4, g2);
+    // Per workload and hardware point: Scheme-1+2 WS over the baseline's.
+    let rows: Vec<(String, Vec<f64>)> = (1..=6)
+        .zip(ws.chunks(4))
+        .map(|(i, c)| (w(i).name(), vec![c[1] / c[0], c[3] / c[2]]))
+        .collect();
+    let geo = ratio_table(8, &["4 MCs", "2 MCs"], &rows);
+    let rows_json = rows
+        .iter()
+        .map(|(name, row)| keyed(Obj::new().field("workload", name.as_str()), &KEYS, row).build())
+        .collect();
 
     let json = sweep::report(
         "fig16c",
         &args,
         Obj::new()
             .field("workloads", Json::Arr(rows_json))
-            .field(
-                "geomeans",
-                Obj::new().field("mc4", g4).field("mc2", g2).build(),
-            )
+            .field("geomeans", keyed(Obj::new(), &KEYS, &geo).build())
             .build(),
     );
     sweep::finish(&args, &json);

@@ -9,18 +9,11 @@
 //! pipeline depth), then the 6 × 2 × 2 cell grid.
 
 use noclat::{RouterPipeline, SystemConfig};
-use noclat_bench::{banner, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
-use noclat_sim::stats::geomean;
+use noclat_bench::{banner, base_and_both, keyed, ratio_table, w};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 
 const PIPES: [RouterPipeline; 2] = [RouterPipeline::FiveStage, RouterPipeline::TwoStage];
-
-fn hw_with_pipe(seed: u64, pipe: RouterPipeline) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.noc.pipeline = pipe;
-    hw
-}
+const KEYS: [&str; 2] = ["five_stage", "two_stage"];
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig17 {}", sweep::SWEEP_USAGE));
@@ -28,83 +21,42 @@ fn main() {
         "Figure 17: 5-stage vs 2-stage router pipelines (workloads 1-6, Scheme-1+2)",
         "Normalized WS per pipeline depth.",
     );
-    let lengths = args.lengths;
 
-    let mut requests = Vec::new();
-    for &pipe in &PIPES {
-        for i in 1..=6 {
-            requests.push((hw_with_pipe(args.seed, pipe), w(i).apps()));
-        }
-    }
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for i in 1..=6 {
-        let apps = w(i).apps();
-        for &pipe in &PIPES {
-            let hw = hw_with_pipe(args.seed, pipe);
-            let table = alone.table(&hw, &apps);
-            for both in [false, true] {
-                let mut cfg = if both {
-                    hw.clone().with_both_schemes()
-                } else {
-                    hw.clone()
-                };
-                args.apply_policy(&mut cfg);
-                let apps = apps.clone();
-                let table = table.clone();
-                let label = if both { "both" } else { "base" };
-                jobs.push(Job::new(
-                    format!("fig17/{}/{pipe:?}/{label}", w(i).name()),
-                    move || run_with_ws(&cfg, &apps, &table, lengths).1,
-                ));
-            }
+        for &point in &PIPES {
+            let mut hw = SystemConfig::baseline_32();
+            hw.seed = args.seed;
+            hw.noc.pipeline = point;
+            let prefix = format!("fig17/{}/{point:?}", w(i).name());
+            cells.extend(base_and_both(&prefix, &hw, &w(i).apps()));
         }
     }
-    let ws = sweep::run_grid(&args, jobs);
+    let ws = sweep::run_ws_grid(&args, cells);
 
-    println!("{:>12} {:>9} {:>9}", "workload", "5-stage", "2-stage");
-    let mut cols: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    let mut rows_json = Vec::new();
-    for i in 1..=6 {
-        let mut row = Vec::new();
-        for (k, col) in cols.iter_mut().enumerate() {
-            let at = (i - 1) * 4 + k * 2;
-            let v = ws[at + 1] / ws[at];
-            row.push(v);
-            col.push(v);
-        }
-        println!("{:>12} {:>9.3} {:>9.3}", w(i).name(), row[0], row[1]);
-        rows_json.push(
-            Obj::new()
-                .field("workload", w(i).name())
-                .field("five_stage", row[0])
-                .field("two_stage", row[1])
-                .build(),
-        );
-    }
-    let g5 = geomean(&cols[0]).unwrap_or(1.0);
-    let g2 = geomean(&cols[1]).unwrap_or(1.0);
-    println!("{:>12} {:>9.3} {:>9.3}", "geomean", g5, g2);
-    if g5 > 1.0 {
+    // Per workload and hardware point: Scheme-1+2 WS over the baseline's.
+    let rows: Vec<(String, Vec<f64>)> = (1..=6)
+        .zip(ws.chunks(4))
+        .map(|(i, c)| (w(i).name(), vec![c[1] / c[0], c[3] / c[2]]))
+        .collect();
+    let geo = ratio_table(9, &["5-stage", "2-stage"], &rows);
+    if geo[0] > 1.0 {
         println!(
             "\n2-stage gains are {:.0}% of the 5-stage gains (paper: 60-75%)",
-            (g2 - 1.0) / (g5 - 1.0) * 100.0
+            (geo[1] - 1.0) / (geo[0] - 1.0) * 100.0
         );
     }
+    let rows_json = rows
+        .iter()
+        .map(|(name, row)| keyed(Obj::new().field("workload", name.as_str()), &KEYS, row).build())
+        .collect();
 
     let json = sweep::report(
         "fig17",
         &args,
         Obj::new()
             .field("workloads", Json::Arr(rows_json))
-            .field(
-                "geomeans",
-                Obj::new()
-                    .field("five_stage", g5)
-                    .field("two_stage", g2)
-                    .build(),
-            )
+            .field("geomeans", keyed(Obj::new(), &KEYS, &geo).build())
             .build(),
     );
     sweep::finish(&args, &json);

@@ -9,7 +9,7 @@
 
 use noclat_bench::banner;
 use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
-use noclat_noc::{characterize, LoadPoint, Mesh, Network, TrafficPattern};
+use noclat_noc::{characterize, LoadPoint, Network, Topology, TrafficPattern};
 use noclat_sim::config::SystemConfig;
 
 const PATTERNS: [(&str, TrafficPattern); 4] = [
@@ -44,7 +44,7 @@ fn main() {
     for (name, pattern) in PATTERNS {
         for load in LOADS {
             jobs.push(Job::new(format!("loadlat/{name}/{load}"), move || {
-                let mut net: Network<()> = Network::new(Mesh::new(8, 4), cfg);
+                let mut net: Network<()> = Network::new(Topology::new(8, 4), cfg);
                 characterize(&mut net, pattern, load, 5, cycles, seed)
             }));
         }

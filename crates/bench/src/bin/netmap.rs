@@ -7,9 +7,9 @@
 //!
 //! Both routing runs execute as one pool grid.
 
-use noclat::{run_mix, SystemConfig};
+use noclat::SystemConfig;
 use noclat_bench::banner;
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat_engine::{self as sweep, Json, MixCell, Obj, SweepArgs};
 use noclat_sim::config::RoutingAlgorithm;
 use noclat_workloads::workload;
 
@@ -44,29 +44,22 @@ fn main() {
         "Network heat-map (extension): router forwarding load, X-Y vs Y-X",
         "Workload-8 (memory-intensive); corners host the memory controllers.",
     );
-    let lengths = args.lengths;
     let apps = workload(8).apps();
     let algos = [
         ("X-Y routing", RoutingAlgorithm::XY),
         ("Y-X routing", RoutingAlgorithm::YX),
     ];
 
-    let mut jobs = Vec::new();
-    for (label, algo) in algos {
-        let apps = apps.clone();
-        let seed = args.seed;
-        let policy = args.policy.clone();
-        let kernel = args.kernel;
-        jobs.push(Job::new(format!("netmap/{label}"), move || {
+    let cells = algos
+        .iter()
+        .map(|&(label, algo)| {
             let mut cfg = SystemConfig::baseline_32();
             cfg.noc.routing = algo;
-            cfg.seed = seed;
-            policy.apply(&mut cfg);
-            cfg.kernel = kernel;
-            run_mix(&cfg, &apps, lengths).system.forwarding_heat()
-        }));
-    }
-    let results = sweep::run_grid(&args, jobs);
+            cfg.seed = args.seed;
+            MixCell::new(format!("netmap/{label}"), cfg, apps.clone())
+        })
+        .collect();
+    let results = sweep::run_mix_grid(&args, cells, |r| r.system.forwarding_heat());
 
     let mut maps_json = Vec::new();
     for ((label, _), heat) in algos.iter().zip(&results) {

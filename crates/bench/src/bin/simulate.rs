@@ -13,8 +13,8 @@
 //! `--json PATH` additionally writes the per-application numbers as a
 //! structured report.
 
-use noclat::{run_mix, MemSchedPolicy, SystemConfig, SystemReport};
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat::{MemSchedPolicy, Scheme, SystemConfig, SystemReport};
+use noclat_engine::{self as sweep, Json, MixCell, Obj, SweepArgs};
 use noclat_sim::config::RoutingAlgorithm;
 use noclat_workloads::workload;
 
@@ -95,16 +95,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match extra.scheme.as_str() {
-        "none" => {}
-        "s1" => cfg.scheme1.enabled = true,
-        "s2" => cfg.scheme2.enabled = true,
-        "both" => cfg = cfg.with_both_schemes(),
-        other => {
-            eprintln!("error: unknown scheme {other}");
+    cfg = match Scheme::parse(&extra.scheme) {
+        Ok(scheme) => cfg.with_scheme(scheme),
+        Err(e) => {
+            eprintln!("error: {e}");
             std::process::exit(2);
         }
-    }
+    };
     cfg.noc.routing = match extra.routing.as_str() {
         "xy" => RoutingAlgorithm::XY,
         "yx" => RoutingAlgorithm::YX,
@@ -123,7 +120,6 @@ fn main() {
         }
     };
     cfg.seed = args.seed;
-    args.apply_policy(&mut cfg);
     if !(1..=18).contains(&extra.workload) {
         eprintln!("error: workload {} out of range (1..=18)", extra.workload);
         eprintln!("usage: {USAGE}");
@@ -136,8 +132,15 @@ fn main() {
     } else {
         w.apps()
     };
-    let req_policy = cfg.policy.request_name(cfg.scheme2.enabled).to_string();
-    let resp_policy = cfg.policy.response_name(cfg.scheme1.enabled).to_string();
+    // The runner applies `--policy` to the cell; name what it resolves to.
+    let req_policy = match &args.policy.request {
+        Some(name) => name.clone(),
+        None => cfg.policy.request_name(cfg.scheme2.enabled).to_string(),
+    };
+    let resp_policy = match &args.policy.response {
+        Some(name) => name.clone(),
+        None => cfg.policy.response_name(cfg.scheme1.enabled).to_string(),
+    };
     println!(
         "simulating {} ({:?}) on {} cores, scheme={}, policy={req_policy}/{resp_policy}, \
          routing={}, sched={}, {}+{} cycles",
@@ -150,18 +153,16 @@ fn main() {
         args.lengths.warmup,
         args.lengths.measure
     );
-    let lengths = args.lengths;
     let t0 = std::time::Instant::now();
-    let jobs = vec![Job::new("simulate".to_string(), move || {
-        let r = run_mix(&cfg, &apps, lengths);
+    let cell = MixCell::new("simulate", cfg, apps);
+    let mut results = sweep::run_mix_grid(&args, vec![cell], |r| {
         let per_app: Vec<(String, f64, u64)> = r
             .per_app
             .iter()
             .map(|a| (a.app.name().to_string(), a.ipc, a.offchip))
             .collect();
-        (format!("{}", SystemReport::from_result(&r)), per_app)
-    })];
-    let mut results = sweep::run_grid(&args, jobs);
+        (format!("{}", SystemReport::from_result(r)), per_app)
+    });
     let (report_text, per_app) = results.remove(0);
     eprintln!("simulated in {:?}", t0.elapsed());
     println!("{report_text}");

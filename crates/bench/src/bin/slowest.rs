@@ -6,9 +6,9 @@
 //! Both runs execute as one pool grid; the jobs return plain rows, so the
 //! report is identical for every `--jobs` value.
 
-use noclat::{run_mix, SystemConfig};
+use noclat::{Scheme, SystemConfig};
 use noclat_bench::banner;
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat_engine::{self as sweep, Json, MixCell, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const TOP_K: usize = 15;
@@ -51,41 +51,29 @@ fn main() {
         "Slowest transactions (extension): where do late accesses lose time?",
         "Workload-8; baseline vs Scheme-1.",
     );
-    let lengths = args.lengths;
-    let apps = workload(8).apps();
-
-    let mut jobs = Vec::new();
-    for scheme1 in [false, true] {
-        let apps = apps.clone();
-        let seed = args.seed;
-        let policy = args.policy.clone();
-        let kernel = args.kernel;
-        let label = if scheme1 { "s1" } else { "base" };
-        jobs.push(Job::new(format!("slowest/{label}"), move || {
-            let mut cfg = SystemConfig::baseline_32();
-            if scheme1 {
-                cfg = cfg.with_scheme1();
-            }
-            cfg.seed = seed;
-            policy.apply(&mut cfg);
-            cfg.kernel = kernel;
-            let r = run_mix(&cfg, &apps, lengths);
-            r.system
-                .slowest_transactions()
-                .iter()
-                .take(TOP_K)
-                .map(|rec| {
-                    (
-                        rec.core,
-                        r.per_app[rec.core].app.name().to_string(),
-                        rec.total(),
-                        rec.times.segments(),
-                    )
-                })
-                .collect::<Vec<Row>>()
-        }));
-    }
-    let results = sweep::run_grid(&args, jobs);
+    let cells = [("base", Scheme::Baseline), ("s1", Scheme::S1)]
+        .into_iter()
+        .map(|(label, scheme)| {
+            let mut cfg = SystemConfig::baseline_32().with_scheme(scheme);
+            cfg.seed = args.seed;
+            MixCell::new(format!("slowest/{label}"), cfg, workload(8).apps())
+        })
+        .collect();
+    let results = sweep::run_mix_grid(&args, cells, |r| {
+        r.system
+            .slowest_transactions()
+            .iter()
+            .take(TOP_K)
+            .map(|rec| {
+                (
+                    rec.core,
+                    r.per_app[rec.core].app.name().to_string(),
+                    rec.total(),
+                    rec.times.segments(),
+                )
+            })
+            .collect::<Vec<Row>>()
+    });
     let (base, s1) = (&results[0], &results[1]);
 
     print_slowest("baseline", base);

@@ -11,15 +11,12 @@
 //! grid instead (CI smokes a single torus cell that way). Output is
 //! byte-identical across `--jobs N` by the sweep engine's construction.
 
-use noclat::{run_mix, McPlacement, RunLengths, SystemConfig, TopologyKind, TopologyOverride};
-use noclat_bench::{banner, merged_latency_histogram, w};
-use noclat_engine::{self as sweep, exit_code, GridCell, Job, Json, Obj, PruneInfo, SweepArgs};
-use noclat_workloads::SpecApp;
+use noclat::{McPlacement, Scheme, TopologyKind};
+use noclat_bench::banner;
+use noclat_engine::{self as sweep, CellMetrics, CellSpec, ExitCode, Json, Obj, SweepArgs};
 
 /// Workload driving every cell (the paper's milc-bearing mixed workload).
 const WORKLOAD: usize = 2;
-
-const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
 
 /// Default fabric axis, as `--topology`-style override specs.
 const FABRICS: [&str; 4] = ["mesh", "torus", "cmesh:c=4", "express:skip=2"];
@@ -34,7 +31,7 @@ fn usage() -> String {
 fn fail_usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: {}", usage());
-    std::process::exit(exit_code::CONFIG);
+    ExitCode::Config.exit();
 }
 
 struct Grid {
@@ -80,38 +77,6 @@ fn parse_rest(rest: &[String]) -> Grid {
     grid
 }
 
-fn base_config(size: u16) -> SystemConfig {
-    match size {
-        16 => SystemConfig::baseline_256(),
-        32 => SystemConfig::baseline_1024(),
-        other => unreachable!("unsupported grid size {other}"),
-    }
-}
-
-fn with_scheme(base: &SystemConfig, scheme: &str) -> SystemConfig {
-    match scheme {
-        "baseline" => base.clone(),
-        "s1" => base.clone().with_scheme1(),
-        "s2" => base.clone().with_scheme2(),
-        "both" => base.clone().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
-}
-
-/// One cell's metrics: (offchip, ipc_sum, mean_latency, p95_latency).
-type Cell = (u64, f64, f64, u64);
-
-fn run_cell(cfg: &SystemConfig, apps: &[SpecApp], lengths: RunLengths) -> Cell {
-    let r = run_mix(cfg, apps, lengths);
-    let merged = merged_latency_histogram(&r);
-    (
-        r.per_app.iter().map(|a| a.offchip).sum(),
-        r.per_app.iter().map(|a| a.ipc).sum(),
-        merged.mean(),
-        merged.percentile(0.95),
-    )
-}
-
 fn main() {
     let (args, rest) = SweepArgs::parse_with_rest(&usage());
     if !args.topology.is_empty() {
@@ -124,56 +89,44 @@ fn main() {
         "Topology sweep: scheme gains across fabrics at 16x16 / 32x32",
         "Grid: topology x MC placement x scheme combo x size; workload-2 cycled per core.",
     );
-    let lengths = args.lengths;
 
-    // Build the grid (validated up front so a bad --fabrics spec is a usage
-    // error, not a quarantined cell). Every cell carries its model inputs
-    // so `--prune analytic:top=K` can rank it; the pinned 16×16 torus
+    // Build the grid: each cell is the one a sweepd client would submit
+    // (validated up front, so a bad --fabrics spec is a usage error, not a
+    // quarantined cell) under this harness's label. The pinned 16×16 torus
     // corner cells (the `tests/golden_results.rs` anchors) are golden and
-    // survive any pruning.
-    let mut cells: Vec<GridCell<Cell>> = Vec::new();
-    let mut labels: Vec<(String, String, String, String)> = Vec::new();
+    // survive any `--prune`.
+    let mut cells = Vec::new();
+    let mut labels: Vec<(String, String, &str, &str)> = Vec::new();
     for &size in &grid.sizes {
-        let mut base = base_config(size);
-        base.seed = args.seed;
-        for spec in &grid.fabrics {
-            let ov = TopologyOverride::parse(spec).unwrap_or_else(|e| fail_usage(&e));
+        for fabric in &grid.fabrics {
             for &mc in &grid.mcs {
-                for scheme in SCHEMES {
-                    let mut cfg = with_scheme(&base, scheme);
-                    args.policy.apply(&mut cfg);
-                    cfg.kernel = args.kernel;
-                    ov.apply(&mut cfg);
-                    cfg.topology.mc_placement = mc;
-                    if let Err(e) = cfg.validate() {
-                        fail_usage(&format!("{spec} at {size}x{size}: {e}"));
-                    }
-                    let apps = w(WORKLOAD).apps_for(cfg.num_cores());
-                    let label = format!("topo/{size}x{size}/{spec}/mc={}/{scheme}", mc.name());
-                    labels.push((
-                        format!("{size}x{size}"),
-                        cfg.topology.label(),
-                        mc.name().to_string(),
-                        scheme.to_string(),
-                    ));
+                for scheme in Scheme::ALL {
+                    let spec = CellSpec {
+                        size,
+                        fabric: fabric.clone(),
+                        mc,
+                        scheme,
+                        workload: WORKLOAD,
+                        seed: args.seed,
+                        warmup: args.lengths.warmup,
+                        measure: args.lengths.measure,
+                        kernel: args.kernel,
+                    };
+                    let mut cell = spec.build().unwrap_or_else(|e| fail_usage(&e));
+                    let (mc, scheme) = (mc.name(), scheme.name());
+                    cell.label = format!("topo/{size}x{size}/{fabric}/mc={mc}/{scheme}");
+                    let topology = cell.cfg.topology;
+                    labels.push((format!("{size}x{size}"), topology.label(), mc, scheme));
                     let golden = size == 16
-                        && cfg.topology.kind == TopologyKind::Torus
-                        && cfg.topology.concentration <= 1
-                        && mc == McPlacement::Corner;
-                    let prune = Some(PruneInfo {
-                        cfg: cfg.clone(),
-                        apps: apps.clone(),
-                        golden,
-                    });
-                    cells.push(GridCell {
-                        job: Job::new(label, move || run_cell(&cfg, &apps, lengths)),
-                        prune,
-                    });
+                        && topology.kind == TopologyKind::Torus
+                        && topology.concentration <= 1
+                        && topology.mc_placement == McPlacement::Corner;
+                    cells.push((cell, golden));
                 }
             }
         }
     }
-    let outcome = sweep::run_pruned_grid(&args, cells);
+    let outcome = sweep::run_pruned_grid(&args, cells, CellMetrics::of);
 
     println!(
         "{:>7} {:>22} {:>7} {:>9} {:>9} {:>9} {:>10} {:>6}",
@@ -182,15 +135,15 @@ fn main() {
     let mut rows = Vec::new();
     let mut pruned_rows = Vec::new();
     for (i, ((size, fabric, mc, scheme), cell)) in labels.iter().zip(&outcome.results).enumerate() {
-        let Some(&(offchip, ipc_sum, mean_lat, p95)) = cell.as_ref() else {
+        let Some(cell) = cell else {
             // Pruned: recorded in the report's prune section, not as a row
             // (surviving rows stay byte-identical to an unpruned run's).
             pruned_rows.push(
                 Obj::new()
                     .field("size", size.as_str())
                     .field("fabric", fabric.as_str())
-                    .field("mc", mc.as_str())
-                    .field("scheme", scheme.as_str())
+                    .field("mc", *mc)
+                    .field("scheme", *scheme)
                     .field(
                         "predicted_latency",
                         outcome.predicted[i].unwrap_or(f64::NAN),
@@ -200,19 +153,19 @@ fn main() {
             continue;
         };
         println!(
-            "{size:>7} {fabric:>22} {mc:>7} {scheme:>9} {offchip:>9} {ipc_sum:>9.3} \
-             {mean_lat:>10.1} {p95:>6}"
+            "{size:>7} {fabric:>22} {mc:>7} {scheme:>9} {:>9} {:>9.3} {:>10.1} {:>6}",
+            cell.offchip, cell.ipc_sum, cell.mean_latency, cell.p95_latency
         );
         rows.push(
             Obj::new()
                 .field("size", size.as_str())
                 .field("fabric", fabric.as_str())
-                .field("mc", mc.as_str())
-                .field("scheme", scheme.as_str())
-                .field("offchip", offchip)
-                .field("ipc_sum", ipc_sum)
-                .field("mean_latency", mean_lat)
-                .field("p95_latency", p95)
+                .field("mc", *mc)
+                .field("scheme", *scheme)
+                .field("offchip", cell.offchip)
+                .field("ipc_sum", cell.ipc_sum)
+                .field("mean_latency", cell.mean_latency)
+                .field("p95_latency", cell.p95_latency)
                 .build(),
         );
     }

@@ -1,37 +1,15 @@
 //! Shared harness plumbing for the figure/table regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). They all honor a `quick` command-line
-//! argument (or `NOCLAT_QUICK=1`) that shrinks the simulation windows for
-//! smoke-testing the harness itself.
+//! (see DESIGN.md §4 for the index): it builds its grid of
+//! [`MixCell`]s from its own axes, hands them to a `noclat_engine` runner,
+//! and renders what comes back. What two or more figures render identically
+//! lives here.
 
-use std::collections::HashMap;
-
-use noclat::{
-    alone_ipc, run_mix, weighted_speedup_of, MixResult, RouterPipeline, RunLengths, SystemConfig,
-};
-use noclat_sim::stats::Histogram;
-use noclat_workloads::{workload, SpecApp, Workload};
-
-pub mod sweep;
-
-/// Simulation windows selected from the command line (`quick` argument or
-/// `NOCLAT_QUICK=1` environment variable shrink them).
-#[must_use]
-pub fn lengths_from_args() -> RunLengths {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick")
-        || std::env::var("NOCLAT_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-    if quick {
-        RunLengths {
-            warmup: 5_000,
-            measure: 40_000,
-        }
-    } else {
-        RunLengths::standard()
-    }
-}
+use noclat::{MixResult, Scheme, SystemConfig};
+use noclat_engine::{run_ws_grid, Json, MixCell, Obj, SweepArgs};
+use noclat_sim::stats::geomean;
+use noclat_workloads::{indices_of, workload, SpecApp, Workload, WorkloadKind};
 
 /// Prints the standard harness header.
 pub fn banner(artifact: &str, what: &str) {
@@ -39,101 +17,6 @@ pub fn banner(artifact: &str, what: &str) {
     println!("{artifact}");
     println!("{what}");
     println!("==============================================================");
-}
-
-/// An alone-IPC table shared across scheme variants of the same hardware
-/// (alone runs are scheme-independent by construction).
-#[derive(Debug, Default)]
-pub struct AloneTable {
-    cache: HashMap<(u16, u16, usize, RouterPipeline, SpecApp), f64>,
-}
-
-impl AloneTable {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Alone IPC of `app` on the hardware described by `cfg` (cached).
-    pub fn get(&mut self, cfg: &SystemConfig, app: SpecApp, lengths: RunLengths) -> f64 {
-        let key = (
-            cfg.topology.width,
-            cfg.topology.height,
-            cfg.mem.num_controllers,
-            cfg.noc.pipeline,
-            app,
-        );
-        *self
-            .cache
-            .entry(key)
-            .or_insert_with(|| alone_ipc(cfg, app, lengths))
-    }
-
-    /// Alone IPCs for every distinct app of a workload.
-    pub fn table(
-        &mut self,
-        cfg: &SystemConfig,
-        apps: &[SpecApp],
-        lengths: RunLengths,
-    ) -> HashMap<SpecApp, f64> {
-        apps.iter()
-            .map(|&a| (a, self.get(cfg, a, lengths)))
-            .collect()
-    }
-}
-
-/// Runs one workload under a configuration and returns `(result, WS)`.
-pub fn run_with_ws(
-    cfg: &SystemConfig,
-    apps: &[SpecApp],
-    alone: &HashMap<SpecApp, f64>,
-    lengths: RunLengths,
-) -> (MixResult, f64) {
-    let r = run_mix(cfg, apps, lengths);
-    let ws = weighted_speedup_of(&r, alone);
-    (r, ws)
-}
-
-/// Normalized weighted speedups of scheme variants against the baseline,
-/// for one workload on one hardware configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct NormalizedWs {
-    /// Baseline (no prioritization) absolute WS.
-    pub base: f64,
-    /// Scheme-1 WS normalized to baseline.
-    pub s1: f64,
-    /// Scheme-1 + Scheme-2 WS normalized to baseline.
-    pub both: f64,
-}
-
-/// Runs baseline / Scheme-1 / Scheme-1+2 for a workload and normalizes.
-pub fn normalized_ws(
-    hw: &SystemConfig,
-    w: &Workload,
-    alone: &mut AloneTable,
-    lengths: RunLengths,
-) -> NormalizedWs {
-    let apps = w.apps();
-    let table = alone.table(hw, &apps, lengths);
-    let (_, base) = run_with_ws(hw, &apps, &table, lengths);
-    let (_, s1) = run_with_ws(&hw.clone().with_scheme1(), &apps, &table, lengths);
-    let (_, both) = run_with_ws(&hw.clone().with_both_schemes(), &apps, &table, lengths);
-    NormalizedWs {
-        base,
-        s1: s1 / base,
-        both: both / base,
-    }
-}
-
-/// Merged round-trip latency histogram across all applications of a run.
-#[must_use]
-pub fn merged_latency_histogram(result: &MixResult) -> Histogram {
-    let mut h = Histogram::new(25, 4000);
-    for c in 0..result.per_app.len() {
-        h.merge(&result.system.tracker().app(c).total);
-    }
-    h
 }
 
 /// Core index of the first instance of `app` in a mix result.
@@ -154,6 +37,149 @@ pub fn pct(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
 }
 
+/// The workload-2 baseline cell behind the sharded distribution figures
+/// (4, 5, 6, 9), labelled `<fig>/w2`.
+#[must_use]
+pub fn w2_baseline(fig: &str) -> MixCell {
+    MixCell::new(
+        format!("{fig}/w2"),
+        SystemConfig::baseline_32(),
+        w(2).apps(),
+    )
+}
+
+/// The unprioritized and Scheme-1+2 cells of one hardware point, labelled
+/// `<prefix>/base` and `<prefix>/both`, each paired with `hw` for its alone
+/// runs (the shape [`run_ws_grid`] consumes).
+#[must_use]
+pub fn base_and_both(
+    prefix: &str,
+    hw: &SystemConfig,
+    apps: &[SpecApp],
+) -> [(MixCell, SystemConfig); 2] {
+    [("base", Scheme::Baseline), ("both", Scheme::Both)].map(|(label, scheme)| {
+        let cfg = hw.clone().with_scheme(scheme);
+        let cell = MixCell::new(format!("{prefix}/{label}"), cfg, apps.to_vec());
+        (cell, hw.clone())
+    })
+}
+
+/// Figures 11 and 15: baseline / Scheme-1 / Scheme-1+2 weighted speedups of
+/// all 18 workloads on `hw` (seeded from `args`), one panel per workload
+/// kind. Prints the panels — the geomean line is the caller's, it differs
+/// between the two figures — and appends the `workloads` and `geomeans`
+/// fields to the report `body`.
+pub fn scheme_gain_panels(
+    args: &SweepArgs,
+    fig: &str,
+    mut hw: SystemConfig,
+    apps_of: fn(&Workload) -> Vec<SpecApp>,
+    body: Obj,
+    geomean_line: impl Fn(f64, f64),
+) -> Obj {
+    hw.seed = args.seed;
+    let mut cells = Vec::new();
+    for mix in (1..=18).map(w) {
+        let apps = apps_of(&mix);
+        for (variant, scheme) in [
+            ("base", Scheme::Baseline),
+            ("s1", Scheme::S1),
+            ("both", Scheme::Both),
+        ] {
+            let label = format!("{fig}/{}/{variant}", mix.name());
+            let cfg = hw.clone().with_scheme(scheme);
+            cells.push((MixCell::new(label, cfg, apps.clone()), hw.clone()));
+        }
+    }
+    let ws = run_ws_grid(args, cells);
+
+    let mut rows_json = Vec::new();
+    let mut geo_json = Obj::new();
+    for kind in [
+        WorkloadKind::Mixed,
+        WorkloadKind::MemIntensive,
+        WorkloadKind::MemNonIntensive,
+    ] {
+        println!("\n--- {kind:?} ---");
+        println!(
+            "{:>12} {:>9} {:>10} {:>12}",
+            "workload", "base WS", "Scheme-1", "Scheme-1+2"
+        );
+        let mut s1s = Vec::new();
+        let mut boths = Vec::new();
+        for i in indices_of(kind) {
+            let base = ws[(i - 1) * 3];
+            let s1 = ws[(i - 1) * 3 + 1] / base;
+            let both = ws[(i - 1) * 3 + 2] / base;
+            println!(
+                "{:>12} {:>9.3} {:>10.3} {:>12.3}",
+                w(i).name(),
+                base,
+                s1,
+                both
+            );
+            s1s.push(s1);
+            boths.push(both);
+            rows_json.push(
+                Obj::new()
+                    .field("workload", w(i).name())
+                    .field("kind", format!("{kind:?}"))
+                    .field("base_ws", base)
+                    .field("s1", s1)
+                    .field("both", both)
+                    .build(),
+            );
+        }
+        let g1 = geomean(&s1s).unwrap_or(1.0);
+        let g2 = geomean(&boths).unwrap_or(1.0);
+        geomean_line(g1, g2);
+        geo_json = geo_json.field(
+            format!("{kind:?}"),
+            Obj::new().field("s1", g1).field("both", g2).build(),
+        );
+    }
+    body.field("workloads", Json::Arr(rows_json))
+        .field("geomeans", geo_json.build())
+}
+
+/// Figures 16a–c and 17: prints one row of normalized weighted speedups per
+/// workload under `heads` (columns `width` wide), then the per-column
+/// geomean row, and returns the geomeans.
+pub fn ratio_table(width: usize, heads: &[&str], rows: &[(String, Vec<f64>)]) -> Vec<f64> {
+    print!("{:>12}", "workload");
+    for head in heads {
+        print!(" {head:>width$}");
+    }
+    println!();
+    for (name, row) in rows {
+        print!("{name:>12}");
+        for v in row {
+            print!(" {v:>width$.3}");
+        }
+        println!();
+    }
+    let geo: Vec<f64> = (0..heads.len())
+        .map(|k| {
+            let col: Vec<f64> = rows.iter().map(|(_, row)| row[k]).collect();
+            geomean(&col).unwrap_or(1.0)
+        })
+        .collect();
+    print!("{:>12}", "geomean");
+    for g in &geo {
+        print!(" {g:>width$.3}");
+    }
+    println!();
+    geo
+}
+
+/// Appends one `key: value` field per column to a report object.
+#[must_use]
+pub fn keyed(obj: Obj, keys: &[&str], values: &[f64]) -> Obj {
+    keys.iter()
+        .zip(values)
+        .fold(obj, |obj, (key, value)| obj.field(*key, *value))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,20 +188,5 @@ mod tests {
     fn pct_formats() {
         assert_eq!(pct(1.034), "+3.4%");
         assert_eq!(pct(0.99), "-1.0%");
-    }
-
-    #[test]
-    fn alone_table_caches() {
-        // Cache key ignores schemes (alone runs are scheme-independent).
-        let mut t = AloneTable::new();
-        let cfg = SystemConfig::baseline_32();
-        let lengths = RunLengths {
-            warmup: 500,
-            measure: 3_000,
-        };
-        let a = t.get(&cfg, SpecApp::Gamess, lengths);
-        let b = t.get(&cfg.clone().with_both_schemes(), SpecApp::Gamess, lengths);
-        assert_eq!(a, b);
-        assert_eq!(t.cache.len(), 1);
     }
 }

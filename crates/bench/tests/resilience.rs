@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use noclat::{JournalError, SimError, SystemConfig};
-use noclat_bench::sweep::{
-    self, exit_code, GridCell, Job, Json, Obj, PruneInfo, PruneSpec, SweepArgs,
+use noclat::{JournalError, MixResult, RunLengths, Scheme, SimError, SystemConfig};
+use noclat_engine::{
+    self as sweep, ExitCode, Job, Json, MixCell, Obj, PruneSpec, ResultCache, SweepArgs,
 };
 use noclat_workloads::workload;
 
@@ -114,6 +114,30 @@ fn journal_from_a_different_sweep_is_rejected() {
         }
         other => panic!("expected FingerprintMismatch, got {other:?}"),
     }
+}
+
+/// One writer per journal: while another live writer holds the file, a
+/// resume is refused with a typed journal error (a usage error, exit 2)
+/// instead of interleaving appends; once the holder is gone it proceeds.
+#[test]
+fn second_writer_of_a_resume_journal_is_rejected_as_busy() {
+    let runs = Arc::new(AtomicUsize::new(0));
+    let mut journaled = args();
+    journaled.resume = Some(temp_journal("busy"));
+    let path = journaled.resume.as_ref().expect("journal path");
+    let holder = ResultCache::open(path, sweep::sweep_fingerprint(&journaled)).expect("first");
+    match sweep::try_run_grid(&journaled, counted_grid(2, journaled.seed, &runs)) {
+        Err(e @ SimError::Journal(JournalError::Io(_))) => {
+            assert!(e.to_string().contains("busy"), "{e}");
+            assert_eq!(ExitCode::from(&e), ExitCode::Config);
+        }
+        other => panic!("expected a busy journal, got {other:?}"),
+    }
+    assert_eq!(runs.load(Ordering::SeqCst), 0, "no cell runs unjournaled");
+    drop(holder);
+    let results =
+        sweep::try_run_grid(&journaled, counted_grid(2, journaled.seed, &runs)).expect("free");
+    assert!(results.iter().all(Result::is_ok));
 }
 
 /// Torn writes and bit rot in the journal tail cost only the damaged cells:
@@ -243,37 +267,44 @@ fn timeout_and_retry_wire_through_sweep_args() {
 // Two-tier (analytically pruned) sweeps.
 // ---------------------------------------------------------------------------
 
-/// A small real-config grid for the pruning pre-pass: the four scheme
-/// combos on `baseline_16`, each carrying its model inputs. The jobs
-/// themselves are cheap counted stand-ins — pruning must not care what the
-/// cycle-accurate closure computes, only whether it runs.
-fn prune_cells(runs: &Arc<AtomicUsize>, pin_baseline: bool) -> Vec<GridCell<(u64, f64)>> {
+/// Arguments for the pruned-grid tests: a window short enough that really
+/// simulating the survivors stays cheap.
+fn prune_args() -> SweepArgs {
+    let mut args = args();
+    args.lengths = RunLengths {
+        warmup: 50,
+        measure: 400,
+    };
+    args
+}
+
+/// A small grid for the pruning pre-pass: the four scheme combos on
+/// `baseline_16` (a cell is its own model input), the baseline optionally
+/// golden-pinned.
+fn prune_cells(pin_baseline: bool) -> Vec<(MixCell, bool)> {
     let base = SystemConfig::baseline_16();
     let apps = workload(2).apps_for(base.num_cores());
-    ["baseline", "s1", "s2", "both"]
+    Scheme::ALL
         .iter()
-        .enumerate()
-        .map(|(i, scheme)| {
-            let cfg = match *scheme {
-                "baseline" => base.clone(),
-                "s1" => base.clone().with_scheme1(),
-                "s2" => base.clone().with_scheme2(),
-                _ => base.clone().with_both_schemes(),
-            };
-            let runs = Arc::clone(runs);
-            GridCell {
-                job: Job::new(format!("prune/{scheme}"), move || {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    ((i as u64).rotate_left(11) ^ 0x5eed, i as f64 / 3.0)
-                }),
-                prune: Some(PruneInfo {
-                    cfg,
-                    apps: apps.clone(),
-                    golden: pin_baseline && i == 0,
-                }),
-            }
+        .map(|&scheme| {
+            let cfg = base.clone().with_scheme(scheme);
+            let cell = MixCell::new(format!("prune/{}", scheme.name()), cfg, apps.clone());
+            (cell, pin_baseline && scheme == Scheme::Baseline)
         })
         .collect()
+}
+
+/// An extractor that counts how many cells actually simulate — pruning must
+/// not care what a survivor computes, only whether it runs.
+fn counted(runs: &Arc<AtomicUsize>) -> impl Fn(&MixResult) -> (u64, f64) + Send + Sync + 'static {
+    let runs = Arc::clone(runs);
+    move |r| {
+        runs.fetch_add(1, Ordering::SeqCst);
+        (
+            r.per_app.iter().map(|a| a.offchip).sum(),
+            r.per_app.iter().map(|a| a.ipc).sum(),
+        )
+    }
 }
 
 fn render_pruned(outcome: &sweep::PruneOutcome<(u64, f64)>, args: &SweepArgs) -> String {
@@ -304,8 +335,9 @@ fn pruned_survivors_are_byte_identical_to_the_unpruned_run() {
     let runs = Arc::new(AtomicUsize::new(0));
 
     // Reference: the full (unpruned) grid.
-    let plain = args();
-    let full = sweep::try_run_pruned_grid(&plain, prune_cells(&runs, true)).expect("no journal");
+    let plain = prune_args();
+    let full =
+        sweep::try_run_pruned_grid(&plain, prune_cells(true), counted(&runs)).expect("no journal");
     assert_eq!(full.kept, 4);
     assert!(
         full.predicted.iter().all(Option::is_none),
@@ -313,13 +345,13 @@ fn pruned_survivors_are_byte_identical_to_the_unpruned_run() {
     );
     assert_eq!(runs.swap(0, Ordering::SeqCst), 4);
 
-    let mut pruned_args = args();
+    let mut pruned_args = prune_args();
     pruned_args.prune = PruneSpec::Analytic { top: 1 };
     for jobs in [1, 2] {
         pruned_args.jobs = jobs;
         let runs = Arc::new(AtomicUsize::new(0));
-        let pruned =
-            sweep::try_run_pruned_grid(&pruned_args, prune_cells(&runs, true)).expect("no journal");
+        let pruned = sweep::try_run_pruned_grid(&pruned_args, prune_cells(true), counted(&runs))
+            .expect("no journal");
         assert_eq!(pruned.kept, 2, "golden baseline + top-1 survive");
         assert_eq!(
             runs.load(Ordering::SeqCst),
@@ -351,8 +383,8 @@ fn pruned_survivors_are_byte_identical_to_the_unpruned_run() {
             let runs1 = Arc::new(AtomicUsize::new(0));
             let mut one = pruned_args.clone();
             one.jobs = 1;
-            let again =
-                sweep::try_run_pruned_grid(&one, prune_cells(&runs1, true)).expect("no journal");
+            let again = sweep::try_run_pruned_grid(&one, prune_cells(true), counted(&runs1))
+                .expect("no journal");
             assert_eq!(
                 render_pruned(&pruned, &plain),
                 render_pruned(&again, &plain),
@@ -368,10 +400,10 @@ fn pruned_survivors_are_byte_identical_to_the_unpruned_run() {
 #[test]
 fn pruning_keeps_the_best_predicted_cell() {
     let runs = Arc::new(AtomicUsize::new(0));
-    let mut pruned_args = args();
+    let mut pruned_args = prune_args();
     pruned_args.prune = PruneSpec::Analytic { top: 1 };
-    let outcome =
-        sweep::try_run_pruned_grid(&pruned_args, prune_cells(&runs, false)).expect("no journal");
+    let outcome = sweep::try_run_pruned_grid(&pruned_args, prune_cells(false), counted(&runs))
+        .expect("no journal");
     assert_eq!(outcome.kept, 1);
     let survivor = outcome
         .results
@@ -402,12 +434,12 @@ fn pruning_keeps_the_best_predicted_cell() {
 #[test]
 fn resumed_pruned_sweep_converges_to_golden() {
     let runs = Arc::new(AtomicUsize::new(0));
-    let mut pruned_args = args();
+    let mut pruned_args = prune_args();
     pruned_args.prune = PruneSpec::Analytic { top: 2 };
     pruned_args.jobs = 1; // deterministic journal record order
     pruned_args.resume = Some(temp_journal("prune-resume"));
-    let golden =
-        sweep::try_run_pruned_grid(&pruned_args, prune_cells(&runs, true)).expect("journal");
+    let golden = sweep::try_run_pruned_grid(&pruned_args, prune_cells(true), counted(&runs))
+        .expect("journal");
     assert_eq!(golden.kept, 3, "golden baseline + top-2");
     let golden_json = render_pruned(&golden, &pruned_args);
     assert_eq!(runs.swap(0, Ordering::SeqCst), 3);
@@ -419,8 +451,8 @@ fn resumed_pruned_sweep_converges_to_golden() {
     bytes.truncate(n - 5);
     std::fs::write(path, &bytes).expect("write truncated journal");
 
-    let resumed =
-        sweep::try_run_pruned_grid(&pruned_args, prune_cells(&runs, true)).expect("journal");
+    let resumed = sweep::try_run_pruned_grid(&pruned_args, prune_cells(true), counted(&runs))
+        .expect("journal");
     assert_eq!(
         runs.swap(0, Ordering::SeqCst),
         1,
@@ -429,8 +461,8 @@ fn resumed_pruned_sweep_converges_to_golden() {
     assert_eq!(render_pruned(&resumed, &pruned_args), golden_json);
 
     // The healed journal replays with zero executions.
-    let replay =
-        sweep::try_run_pruned_grid(&pruned_args, prune_cells(&runs, true)).expect("journal");
+    let replay = sweep::try_run_pruned_grid(&pruned_args, prune_cells(true), counted(&runs))
+        .expect("journal");
     assert_eq!(runs.load(Ordering::SeqCst), 0, "journal healed");
     assert_eq!(render_pruned(&replay, &pruned_args), golden_json);
 }
@@ -457,13 +489,13 @@ fn prune_spec_is_part_of_the_sweep_fingerprint() {
 
     // End to end: a pruned journal rejects an unpruned resume.
     let runs = Arc::new(AtomicUsize::new(0));
-    let mut journaled = args();
+    let mut journaled = prune_args();
     journaled.prune = PruneSpec::Analytic { top: 2 };
     journaled.resume = Some(temp_journal("prune-fingerprint"));
-    sweep::try_run_pruned_grid(&journaled, prune_cells(&runs, true)).expect("journal");
+    sweep::try_run_pruned_grid(&journaled, prune_cells(true), counted(&runs)).expect("journal");
     let mut unpruned = journaled.clone();
     unpruned.prune = PruneSpec::Off;
-    let err = match sweep::try_run_pruned_grid(&unpruned, prune_cells(&runs, true)) {
+    let err = match sweep::try_run_pruned_grid(&unpruned, prune_cells(true), counted(&runs)) {
         Err(e) => e,
         Ok(_) => panic!("pruned journal must not satisfy an unpruned resume"),
     };
@@ -519,7 +551,7 @@ fn pruning_everything_exits_with_the_dedicated_code() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
-        Some(exit_code::PRUNED_EMPTY),
+        Some(ExitCode::PrunedEmpty.code()),
         "expected PRUNED_EMPTY exit; stderr:\n{stderr}"
     );
     assert!(

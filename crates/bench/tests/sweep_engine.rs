@@ -4,7 +4,7 @@
 //! siblings' results).
 
 use noclat::{run_mix, MixResult, RunLengths, SimError, SystemConfig};
-use noclat_bench::sweep::{self, Job, Json, Obj, SweepArgs};
+use noclat_engine::{self as sweep, Job, Json, MixCell, Obj, SweepArgs};
 use noclat_sim::faults::{CycleWindow, RouterStall};
 use noclat_workloads::workload;
 
@@ -71,17 +71,26 @@ fn json_report_is_byte_identical_across_worker_counts() {
     assert_eq!(reports[0], reports[2], "1 vs 8 workers");
 }
 
-/// `run_shards` hands each shard its derived seed and returns results in
-/// shard order for any worker count.
+/// `run_mix_shards` seeds shard `s` with `job_seed(args.seed, s)` and
+/// returns results in shard order for any worker count.
 #[test]
-fn run_shards_results_are_in_shard_order_for_any_worker_count() {
-    for jobs in [1usize, 3, 8] {
+fn mix_shards_are_seeded_per_shard_and_in_shard_order_for_any_worker_count() {
+    let cell = MixCell::new("order", SystemConfig::baseline_32(), workload(2).apps());
+    let args = args_with_jobs(1);
+    let expected: Vec<(u64, f64)> = (0..sweep::DEFAULT_SHARDS)
+        .map(|s| {
+            let mut cfg = cell.cfg.clone();
+            cfg.seed = sweep::job_seed(args.seed, s);
+            fingerprint(&run_mix(&cfg, &cell.apps, args.lengths))
+        })
+        .collect();
+    for jobs in [1usize, 3] {
         let args = args_with_jobs(jobs);
-        let vals = sweep::run_shards(&args, "order", 8, |s, seed| (s, seed));
-        for (i, &(s, seed)) in vals.iter().enumerate() {
-            assert_eq!(s, i as u64);
-            assert_eq!(seed, sweep::job_seed(args.seed, i as u64));
-        }
+        assert_eq!(
+            sweep::run_mix_shards(&args, &cell, fingerprint),
+            expected,
+            "{jobs} worker(s)"
+        );
     }
 }
 

@@ -63,8 +63,8 @@ pub use watchdog::{LivenessViolation, Watchdog};
 pub use noclat_sim::cancel::CancelToken;
 pub use noclat_sim::config::{
     ConfigError, KernelKind, McPlacement, MemSchedPolicy, PolicyConfig, PolicyOverride,
-    RouterPipeline, Scheme1Config, Scheme2Config, StarvationPolicy, SystemConfig, TopologyConfig,
-    TopologyKind, TopologyOverride, WatchdogConfig,
+    RouterPipeline, Scheme, Scheme1Config, Scheme2Config, StarvationPolicy, SystemConfig,
+    TopologyConfig, TopologyKind, TopologyOverride, WatchdogConfig,
 };
 pub use noclat_sim::error::{FaultError, JournalError, SimError};
 pub use noclat_sim::faults::FaultPlan;

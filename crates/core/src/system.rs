@@ -23,8 +23,8 @@ use noclat_cache::{L1Access, L1Cache, L2Access, L2Bank, MshrFile, SnucaMap};
 use noclat_cpu::{InstrStream, MemAccess, MemToken, MemoryPort, OooCore};
 use noclat_mem::{AddressMap, IdlenessMonitor, MemoryController};
 use noclat_noc::{
-    accumulate_age, flits_for_payload, Delivered, Mesh, Network, NodeId, Priority, RouterCounters,
-    VNet,
+    accumulate_age, flits_for_payload, Delivered, Network, NodeId, Priority, RouterCounters,
+    Topology, VNet,
 };
 use noclat_sim::cancel::CancelToken;
 use noclat_sim::config::{KernelKind, SystemConfig};
@@ -340,7 +340,7 @@ impl System {
                 cores: n,
             });
         }
-        let mesh = Mesh::from_config(&cfg.topology);
+        let mesh = Topology::from_config(&cfg.topology);
         let addr_map = AddressMap::new(
             cfg.l2.line_bytes,
             cfg.mem.num_controllers,

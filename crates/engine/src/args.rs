@@ -8,7 +8,7 @@ use noclat::{KernelKind, PolicyOverride, RunLengths, SystemConfig, TopologyOverr
 use noclat_sim::journal::fnv1a64;
 use noclat_sim::pool::RetryPolicy;
 
-use crate::exit::exit_code;
+use crate::exit::ExitCode;
 
 /// Number of replicate shards the distribution harnesses (fig04/05/06/09/12)
 /// split their measurement into. Each shard is a full, independently seeded
@@ -32,14 +32,14 @@ pub struct SweepArgs {
     pub lengths: RunLengths,
     /// Prioritization-policy overrides
     /// (`--policy req=<name>,resp=<name>,arb=<name>`), applied to every
-    /// configuration the sweep builds via [`SweepArgs::apply_policy`].
+    /// cell by the grid runners via [`SweepArgs::apply_policy`].
     pub policy: PolicyOverride,
     /// Simulation kernel (`--kernel cycle|event`). Kernels are bit-identical
     /// by contract (the equivalence suite enforces it), so this only trades
     /// wall-clock time; reports are comparable across kernels.
     pub kernel: KernelKind,
     /// Fabric override (`--topology NAME[:PARAM=V,...]`), applied to every
-    /// configuration the sweep builds via [`SweepArgs::apply_policy`]. Unlike
+    /// cell by the grid runners via [`SweepArgs::apply_policy`]. Unlike
     /// `--kernel`, a topology change *does* change results, so it is part of
     /// the sweep fingerprint.
     pub topology: TopologyOverride,
@@ -281,9 +281,9 @@ impl SweepArgs {
     }
 
     /// Applies this sweep's `--policy`, `--kernel` and `--topology`
-    /// overrides to a configuration the harness is about to run. Call on
-    /// every cell of the grid so the overrides reach scheme variants and
-    /// knob sweeps alike; a sweep run without any of the flags is untouched.
+    /// overrides to a configuration. The `MixCell` runners in
+    /// [`crate::grid`] call this once per cell, so harnesses never do; a
+    /// sweep run without any of the flags is untouched.
     pub fn apply_policy(&self, cfg: &mut SystemConfig) {
         self.policy.apply(cfg);
         cfg.kernel = self.kernel;
@@ -295,7 +295,7 @@ impl SweepArgs {
         if !self.topology.is_empty() {
             if let Err(e) = cfg.validate() {
                 eprintln!("error: --topology: {e}");
-                std::process::exit(exit_code::CONFIG);
+                ExitCode::Config.exit();
             }
         }
     }

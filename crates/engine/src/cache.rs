@@ -22,7 +22,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use noclat_sim::error::JournalError;
+use noclat_sim::error::{JournalError, SimError};
 use noclat_sim::journal::{self, fnv1a64, Journal};
 
 /// Fingerprint pinned by `sweepd`-managed cache files. Unlike a sweep
@@ -73,6 +73,18 @@ impl std::error::Error for CacheError {}
 impl From<JournalError> for CacheError {
     fn from(e: JournalError) -> CacheError {
         CacheError::Journal(e)
+    }
+}
+
+/// A `--resume` journal is a cache with one writer: a busy or unlockable
+/// file is a journal problem of the sweep (a usage error), like a
+/// fingerprint mismatch.
+impl From<CacheError> for SimError {
+    fn from(e: CacheError) -> SimError {
+        SimError::Journal(match e {
+            CacheError::Journal(e) => e,
+            busy_or_io => JournalError::Io(busy_or_io.to_string()),
+        })
     }
 }
 

@@ -1,9 +1,7 @@
 //! Centralized process exit codes for every sweep binary and `sweepd`.
 //!
-//! PR 7 defined the codes as loose constants in `bench::sweep` and each
-//! binary re-matched them by hand; now that a long-running server also has
-//! to classify failures, the classification lives in one typed enum so the
-//! CLIs and the daemon can never drift.
+//! The classification lives in one typed enum so the CLIs and the daemon
+//! can never drift.
 
 use noclat::SimError;
 
@@ -115,34 +113,12 @@ impl std::fmt::Display for ExitCode {
     }
 }
 
-/// Numeric constants mirroring [`ExitCode`], kept for source compatibility
-/// with the pre-engine `bench::sweep::exit_code` module (binaries and tests
-/// match on these; new code should prefer the enum).
-pub mod exit_code {
-    use super::ExitCode;
-
-    /// Catch-all failure (IO errors, wedged drains without a watchdog…).
-    pub const GENERIC: i32 = ExitCode::Generic.code();
-    /// Invalid arguments or configuration (also journal-resume mismatches).
-    pub const CONFIG: i32 = ExitCode::Config.code();
-    /// At least one sweep job panicked after exhausting its retries.
-    pub const JOB_PANIC: i32 = ExitCode::JobPanic.code();
-    /// At least one sweep job exceeded `--job-timeout` after exhausting its
-    /// retries (and none panicked — panics take precedence).
-    pub const JOB_TIMEOUT: i32 = ExitCode::JobTimeout.code();
-    /// The liveness watchdog reported violations (deadlock/starvation).
-    pub const WATCHDOG: i32 = ExitCode::Watchdog.code();
-    /// `--prune` eliminated every cell of a non-empty grid: nothing was
-    /// simulated, so a report of "zero cells, success" would be a lie.
-    pub const PRUNED_EMPTY: i32 = ExitCode::PrunedEmpty.code();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn codes_roundtrip_and_match_the_legacy_constants() {
+    fn codes_roundtrip() {
         for c in [
             ExitCode::Success,
             ExitCode::Generic,
@@ -156,12 +132,14 @@ mod tests {
             assert_eq!(i32::from(c), c.code());
         }
         assert_eq!(ExitCode::from_code(99), None);
-        assert_eq!(exit_code::GENERIC, 1);
-        assert_eq!(exit_code::CONFIG, 2);
-        assert_eq!(exit_code::JOB_PANIC, 3);
-        assert_eq!(exit_code::JOB_TIMEOUT, 4);
-        assert_eq!(exit_code::WATCHDOG, 5);
-        assert_eq!(exit_code::PRUNED_EMPTY, 6);
+        // The numbers are CI's contract (README "Exit codes").
+        assert_eq!(ExitCode::Success.code(), 0);
+        assert_eq!(ExitCode::Generic.code(), 1);
+        assert_eq!(ExitCode::Config.code(), 2);
+        assert_eq!(ExitCode::JobPanic.code(), 3);
+        assert_eq!(ExitCode::JobTimeout.code(), 4);
+        assert_eq!(ExitCode::Watchdog.code(), 5);
+        assert_eq!(ExitCode::PrunedEmpty.code(), 6);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //!
 //! * [`SweepArgs`]/[`PruneSpec`] — the shared command-line surface and the
 //!   [`sweep_fingerprint`]/[`job_key`] content addressing;
-//! * [`run_grid`]/[`try_run_grid`]/[`run_pruned_grid`] — deterministic
-//!   parallel grid execution over [`noclat_sim::pool`], with journal
-//!   resume and two-tier analytic pruning;
-//! * [`AloneMap`] — the weighted-speedup denominator phase;
+//! * [`run_grid`]/[`try_run_grid`] — deterministic parallel grid execution
+//!   over [`noclat_sim::pool`], with journal resume;
+//! * [`MixCell`] and its runners ([`run_mix_grid`], [`run_ws_grid`],
+//!   [`run_mix_shards`], [`run_pruned_grid`]) — a sweep cell as a value,
+//!   with the sweep's overrides applied in exactly one place, the
+//!   [`AloneMap`] weighted-speedup denominator phase and two-tier analytic
+//!   pruning;
 //! * [`Json`]/[`Obj`]/[`CellCodec`] — dependency-free, deterministic
 //!   serialization (bit-exact for floats via [`f64::to_bits`]);
 //! * [`cache`] — the journal promoted to a content-addressed result cache
@@ -35,16 +38,13 @@ pub mod json;
 pub mod report;
 pub mod server;
 
-// Flat re-exports preserving the original `bench::sweep` surface, so the
-// 27 figure binaries and the compatibility `pub use` in `noclat-bench`
-// keep exactly the paths they had before the extraction.
 pub use args::{job_key, sweep_fingerprint, PruneSpec, SweepArgs, DEFAULT_SHARDS, SWEEP_USAGE};
 pub use cache::{read_snapshot, sweepd_cache_fingerprint, CacheError, ResultCache};
 pub use codec::CellCodec;
-pub use exit::{exit_code, ExitCode};
+pub use exit::ExitCode;
 pub use grid::{
-    alone_key, run_grid, run_pruned_grid, run_shards, try_run_grid, try_run_pruned_grid, AloneMap,
-    GridCell, PruneInfo, PruneOutcome, PrunedResults,
+    alone_key, run_grid, run_mix_grid, run_mix_shards, run_pruned_grid, run_ws_grid, try_run_grid,
+    try_run_pruned_grid, AloneMap, CellMetrics, MixCell, PruneOutcome, PrunedResults,
 };
 pub use json::{Json, Obj, MAX_PARSE_DEPTH};
 pub use noclat_sim::pool::{

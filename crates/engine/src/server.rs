@@ -46,15 +46,17 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
-use noclat::{run_mix, KernelKind, McPlacement, RunLengths, SystemConfig, TopologyOverride};
+use noclat::{
+    run_mix, KernelKind, McPlacement, RunLengths, Scheme, SystemConfig, TopologyOverride,
+};
 use noclat_analytic::AnalyticModel;
 use noclat_sim::cancel::CancelToken;
 use noclat_sim::journal::fnv1a64;
 use noclat_sim::pool::{run_jobs_supervised, Job, RetryPolicy};
-use noclat_sim::stats::Histogram;
 use noclat_workloads::workload;
 
 use crate::cache::{sweepd_cache_fingerprint, ResultCache};
+use crate::grid::{CellMetrics, MixCell};
 use crate::json::{Json, Obj};
 
 /// One simulation request: everything that determines the cell's result.
@@ -66,8 +68,8 @@ pub struct CellSpec {
     pub fabric: String,
     /// Memory-controller placement.
     pub mc: McPlacement,
-    /// Scheme combination: `baseline`, `s1`, `s2` or `both`.
-    pub scheme: String,
+    /// Scheme combination (`baseline`/`none`, `s1`, `s2` or `both`).
+    pub scheme: Scheme,
     /// Table-2 workload index (1..=18).
     pub workload: usize,
     /// Base RNG seed.
@@ -121,7 +123,8 @@ impl CellSpec {
             fabric: str_field("fabric", "mesh")?,
             mc: McPlacement::parse(&str_field("mc", "corner")?)
                 .map_err(|e| format!("cell.mc: {e}"))?,
-            scheme: str_field("scheme", "baseline")?,
+            scheme: Scheme::parse(&str_field("scheme", "baseline")?)
+                .map_err(|e| format!("cell.scheme: {e}"))?,
             workload: usize::try_from(u64_field("workload", 2)?).unwrap_or(0),
             seed: u64_field("seed", SystemConfig::baseline_32().seed)?,
             warmup: u64_field("warmup", lengths.warmup)?,
@@ -129,9 +132,6 @@ impl CellSpec {
             kernel: KernelKind::parse(&str_field("kernel", KernelKind::default().name())?)
                 .map_err(|e| format!("cell.kernel: {e}"))?,
         };
-        if !matches!(spec.scheme.as_str(), "baseline" | "s1" | "s2" | "both") {
-            return Err("cell.scheme must be baseline, s1, s2 or both".into());
-        }
         if !(1..=18).contains(&spec.workload) {
             return Err("cell.workload must be in 1..=18".into());
         }
@@ -154,7 +154,7 @@ impl CellSpec {
             self.size,
             self.fabric,
             self.mc.name(),
-            self.scheme,
+            self.scheme.name(),
             self.workload,
             self.seed,
             self.warmup,
@@ -178,51 +178,38 @@ impl CellSpec {
         }
     }
 
-    /// Builds the validated configuration and per-tile app placement this
-    /// spec describes (the same construction as the `topo_sweep` harness).
+    /// The validated [`MixCell`] this spec describes, labelled with its
+    /// canonical rendering and carrying the spec's own window (a runner
+    /// simulates exactly what the label says, whatever the sweep's
+    /// `--warmup`/`--measure`).
     ///
     /// # Errors
     ///
     /// The fabric/config validation message.
-    pub fn build(&self) -> Result<(SystemConfig, Vec<noclat_workloads::SpecApp>), String> {
-        let mut cfg = base_config(self.size).expect("size validated at parse");
+    pub fn build(&self) -> Result<MixCell, String> {
+        let mut cfg = base_config(self.size)
+            .expect("size validated at parse")
+            .with_scheme(self.scheme);
         cfg.seed = self.seed;
-        cfg = match self.scheme.as_str() {
-            "baseline" => cfg,
-            "s1" => cfg.with_scheme1(),
-            "s2" => cfg.with_scheme2(),
-            "both" => cfg.with_both_schemes(),
-            other => return Err(format!("unknown scheme {other}")),
-        };
-        let ov = TopologyOverride::parse(&self.fabric)?;
-        ov.apply(&mut cfg);
+        TopologyOverride::parse(&self.fabric)?.apply(&mut cfg);
         cfg.topology.mc_placement = self.mc;
         cfg.kernel = self.kernel;
         cfg.validate()
             .map_err(|e| format!("{} at {}x{}: {e}", self.fabric, self.size, self.size))?;
         let apps = workload(self.workload).apps_for(cfg.num_cores());
-        Ok((cfg, apps))
+        Ok(MixCell {
+            window: Some(self.lengths()),
+            ..MixCell::new(self.canonical(), cfg, apps)
+        })
     }
 
     /// Runs the cell and renders its metrics payload (compact, single-line;
     /// the bytes stored in the cache and spliced into responses).
     #[must_use]
     pub fn run(&self) -> String {
-        let (cfg, apps) = self.build().expect("spec validated at submit");
-        let r = run_mix(&cfg, &apps, self.lengths());
-        let mut merged = Histogram::new(25, 4000);
-        for c in 0..r.per_app.len() {
-            merged.merge(&r.system.tracker().app(c).total);
-        }
-        let offchip: u64 = r.per_app.iter().map(|a| a.offchip).sum();
-        let ipc_sum: f64 = r.per_app.iter().map(|a| a.ipc).sum();
-        Obj::new()
-            .field("offchip", offchip)
-            .field("ipc_sum", ipc_sum)
-            .field("mean_latency", merged.mean())
-            .field("p95_latency", merged.percentile(0.95))
-            .build()
-            .to_compact_string()
+        let cell = self.build().expect("spec validated at submit");
+        let r = run_mix(&cell.cfg, &cell.apps, self.lengths());
+        CellMetrics::of(&r).to_json().to_compact_string()
     }
 
     /// The analytic model's take on this cell, as a response fragment:
@@ -230,10 +217,10 @@ impl CellSpec {
     /// cannot rank the configuration.
     #[must_use]
     pub fn estimate(&self) -> Json {
-        let Ok((cfg, apps)) = self.build() else {
+        let Ok(cell) = self.build() else {
             return Json::Null;
         };
-        match AnalyticModel::new(&cfg, &apps) {
+        match AnalyticModel::new(&cell.cfg, &cell.apps) {
             Ok(model) => {
                 let report = model.with_lengths(self.warmup, self.measure).evaluate();
                 Obj::new()
@@ -825,7 +812,7 @@ mod tests {
         assert_eq!(spec.size, 8);
         assert_eq!(spec.fabric, "mesh");
         assert_eq!(spec.mc, McPlacement::Corner);
-        assert_eq!(spec.scheme, "baseline");
+        assert_eq!(spec.scheme, Scheme::Baseline);
         assert_eq!(spec.workload, 2);
         assert_eq!(spec.lengths(), RunLengths::standard());
 
@@ -837,9 +824,9 @@ mod tests {
         assert_eq!(spec.fabric, "torus");
         assert_eq!(spec.mc, McPlacement::Edge);
         assert_eq!(spec.kernel, KernelKind::Event);
-        let (cfg, apps) = spec.build().unwrap();
-        assert_eq!(cfg.num_cores(), 256);
-        assert_eq!(apps.len(), 256);
+        let cell = spec.build().unwrap();
+        assert_eq!(cell.cfg.num_cores(), 256);
+        assert_eq!(cell.apps.len(), 256);
 
         assert!(CellSpec::from_json(&spec_json(r#""size":7"#)).is_err());
         assert!(CellSpec::from_json(&spec_json(r#""scheme":"s3""#)).is_err());

@@ -15,11 +15,11 @@
 //! # Example
 //!
 //! ```
-//! use noclat_noc::{Mesh, Network, NodeId, Priority, VNet};
+//! use noclat_noc::{Topology, Network, NodeId, Priority, VNet};
 //! use noclat_sim::config::SystemConfig;
 //!
 //! let cfg = SystemConfig::baseline_32();
-//! let mut net: Network<&'static str> = Network::new(Mesh::new(8, 4), cfg.noc);
+//! let mut net: Network<&'static str> = Network::new(Topology::new(8, 4), cfg.noc);
 //! net.inject(
 //!     NodeId(0),
 //!     NodeId(31),
@@ -54,5 +54,5 @@ pub use arbiter::{
 pub use network::{flits_for_payload, Hop, Network, NetworkStats};
 pub use packet::{accumulate_age, Delivered, Flit, FlitKind, PacketId, PacketMeta, Priority, VNet};
 pub use router::{Router, RouterCounters};
-pub use topology::{Coord, Dir, Mesh, NodeId, Topology};
+pub use topology::{Coord, Dir, NodeId, Topology};
 pub use traffic::{characterize, LoadPoint, TrafficPattern};

@@ -128,7 +128,7 @@ use crate::packet::{
     accumulate_age, Delivered, Flit, FlitKind, PacketId, PacketMeta, Priority, VNet,
 };
 use crate::router::{Router, RouterCounters, RouterScratch};
-use crate::topology::{Dir, Mesh, NodeId};
+use crate::topology::{Dir, NodeId, Topology};
 
 /// Network-wide event counters and latency aggregates.
 #[derive(Debug, Clone, Default)]
@@ -237,7 +237,7 @@ const NO_LINK: u32 = u32::MAX;
 /// everything (`DESIGN.md` §16).
 #[derive(Debug)]
 pub struct Network<P> {
-    mesh: Mesh,
+    mesh: Topology,
     cfg: NocConfig,
     routers: Vec<Router>,
     /// Routers with `occupancy() > 0`. A stalled or clock-divided router
@@ -294,7 +294,7 @@ pub struct Network<P> {
 impl<P> Network<P> {
     /// Creates a healthy network over `mesh` with the given NoC parameters.
     #[must_use]
-    pub fn new(mesh: Mesh, cfg: NocConfig) -> Self {
+    pub fn new(mesh: Topology, cfg: NocConfig) -> Self {
         Self::with_faults(mesh, cfg, &FaultPlan::none())
     }
 
@@ -302,7 +302,7 @@ impl<P> Network<P> {
     /// router stalls; bank and ingress faults are consumed by the memory
     /// controllers, not the network).
     #[must_use]
-    pub fn with_faults(mesh: Mesh, cfg: NocConfig, plan: &FaultPlan) -> Self {
+    pub fn with_faults(mesh: Topology, cfg: NocConfig, plan: &FaultPlan) -> Self {
         // Tiles and routers coincide except on a concentrated mesh, where
         // several tiles share one router: router-side state (wires, ports,
         // clock dividers, injection front-ends) is per router, while
@@ -351,7 +351,7 @@ impl<P> Network<P> {
 
     /// The mesh this network spans.
     #[must_use]
-    pub fn mesh(&self) -> Mesh {
+    pub fn mesh(&self) -> Topology {
         self.mesh
     }
 
@@ -941,7 +941,7 @@ mod tests {
 
     fn network() -> Network<u32> {
         let cfg = SystemConfig::baseline_32();
-        Network::new(Mesh::new(8, 4), cfg.noc)
+        Network::new(Topology::new(8, 4), cfg.noc)
     }
 
     fn run_until_delivered(
@@ -1114,7 +1114,7 @@ mod tests {
     #[test]
     fn high_priority_is_faster_under_load() {
         let cfg = SystemConfig::baseline_32();
-        let mesh = Mesh::new(8, 4);
+        let mesh = Topology::new(8, 4);
         let measure = |priority: Priority| -> f64 {
             let mut net: Network<u32> = Network::new(mesh, cfg.noc);
             // Background traffic: every node hammers node 31.
@@ -1320,7 +1320,7 @@ mod tests {
         // in the age field.
         let deliver = |slow: bool| -> (u64, u32) {
             let cfg = SystemConfig::baseline_32().noc;
-            let mut net: Network<u32> = Network::new(Mesh::new(8, 4), cfg);
+            let mut net: Network<u32> = Network::new(Topology::new(8, 4), cfg);
             if slow {
                 net.set_node_period(NodeId(1), 8).unwrap();
             }
@@ -1360,7 +1360,7 @@ mod tests {
         let run_age = |fm: u32| -> u32 {
             let mut cfg = SystemConfig::baseline_32().noc;
             cfg.freq_mult = fm;
-            let mut net: Network<u32> = Network::new(Mesh::new(8, 4), cfg);
+            let mut net: Network<u32> = Network::new(Topology::new(8, 4), cfg);
             net.inject(
                 NodeId(0),
                 NodeId(7),
@@ -1391,7 +1391,7 @@ mod tests {
         use noclat_sim::config::RoutingAlgorithm;
         let mut cfg = SystemConfig::baseline_32();
         cfg.noc.routing = RoutingAlgorithm::YX;
-        let mut net: Network<u32> = Network::new(Mesh::new(8, 4), cfg.noc);
+        let mut net: Network<u32> = Network::new(Topology::new(8, 4), cfg.noc);
         for i in 0..64u64 {
             net.inject(
                 NodeId((i % 32) as u16),
@@ -1421,7 +1421,7 @@ mod tests {
         use noclat_sim::config::StarvationPolicy;
         let mut cfg = SystemConfig::baseline_32();
         cfg.noc.starvation = StarvationPolicy::Batching { interval: 500 };
-        let mut net: Network<u32> = Network::new(Mesh::new(8, 4), cfg.noc);
+        let mut net: Network<u32> = Network::new(Topology::new(8, 4), cfg.noc);
         let mut rng = noclat_sim::rng::SimRng::new(5);
         let mut injected = 0u64;
         for t in 0..3000u64 {
@@ -1554,7 +1554,7 @@ mod tests {
             window: CycleWindow { start: 0, end: 50 },
         });
         let cfg = SystemConfig::baseline_32();
-        let mut net: Network<u32> = Network::with_faults(Mesh::new(8, 4), cfg.noc, &plan);
+        let mut net: Network<u32> = Network::with_faults(Topology::new(8, 4), cfg.noc, &plan);
         net.inject(
             NodeId(0),
             NodeId(7),
@@ -1604,7 +1604,7 @@ mod tests {
             window: CycleWindow::ALWAYS,
         });
         let cfg = SystemConfig::baseline_32();
-        let mut healthy: Network<u32> = Network::new(Mesh::new(8, 4), cfg.noc);
+        let mut healthy: Network<u32> = Network::new(Topology::new(8, 4), cfg.noc);
         healthy
             .inject(
                 NodeId(0),
@@ -1618,7 +1618,7 @@ mod tests {
             )
             .unwrap();
         let (t_healthy, _) = run_until_delivered(&mut healthy, NodeId(7), 0, 400);
-        let mut slow: Network<u32> = Network::with_faults(Mesh::new(8, 4), cfg.noc, &plan);
+        let mut slow: Network<u32> = Network::with_faults(Topology::new(8, 4), cfg.noc, &plan);
         slow.inject(
             NodeId(0),
             NodeId(7),
@@ -1647,7 +1647,7 @@ mod tests {
             window: CycleWindow { start: 0, end: 100 },
         });
         let cfg = SystemConfig::baseline_32();
-        let mut net: Network<u32> = Network::with_faults(Mesh::new(8, 4), cfg.noc, &plan);
+        let mut net: Network<u32> = Network::with_faults(Topology::new(8, 4), cfg.noc, &plan);
         net.inject(
             NodeId(0),
             NodeId(2),

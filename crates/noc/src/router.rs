@@ -20,7 +20,7 @@ use noclat_sim::Cycle;
 use crate::arbiter::{arbitration_policy, ArbitrationPolicy, Candidate, RoundRobinArbiter};
 use crate::bitset::BitSet;
 use crate::packet::{accumulate_age, Flit, Priority, VNet};
-use crate::topology::{Dir, Mesh, NodeId};
+use crate::topology::{Dir, NodeId, Topology};
 
 /// State of one input VC. All input VCs of a router live in one flat array
 /// indexed `port * vcs_per_port + vc`, which is also the arbiter tag.
@@ -33,7 +33,7 @@ struct VcState {
     out_vc: Option<u8>,
     /// Downstream VCs `[start, end)` that packet may be granted: its
     /// virtual network's half, narrowed on a torus to the dateline subclass
-    /// [`Mesh::vc_subclass`] assigns to the hop. Fixed at RC with the route.
+    /// [`Topology::vc_subclass`] assigns to the hop. Fixed at RC with the route.
     class: (u16, u16),
     /// This VC as the upstream router knows it (what ST hands back).
     credit: CreditReturn,
@@ -109,7 +109,7 @@ pub struct RouterCounters {
 #[derive(Debug, Clone)]
 pub struct Router {
     node: NodeId,
-    mesh: Mesh,
+    mesh: Topology,
     cfg: NocConfig,
     /// Input VCs, flat (see [`VcState`]).
     vcs: Vec<VcState>,
@@ -145,7 +145,7 @@ impl Router {
     /// given NoC parameters. Port arrays are sized per topology (5 ports on
     /// mesh-like fabrics, 9 on express).
     #[must_use]
-    pub fn new(node: NodeId, mesh: Mesh, cfg: NocConfig) -> Self {
+    pub fn new(node: NodeId, mesh: Topology, cfg: NocConfig) -> Self {
         let v = cfg.vcs_per_port;
         let ports = mesh.num_ports();
         let vcs = mesh
@@ -560,8 +560,8 @@ mod tests {
         SystemConfig::baseline_32().noc
     }
 
-    fn mesh() -> Mesh {
-        Mesh::new(8, 4)
+    fn mesh() -> Topology {
+        Topology::new(8, 4)
     }
 
     fn flit(packet: u64, kind: FlitKind, dest: NodeId, vc: u8, priority: Priority) -> Flit {

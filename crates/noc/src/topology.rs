@@ -141,10 +141,6 @@ pub struct Topology {
     skip: u16,
 }
 
-/// The historical name: every pre-topology API took a `Mesh`, and a plain
-/// mesh is still what `Mesh::new` builds.
-pub type Mesh = Topology;
-
 impl Topology {
     /// Creates a plain 2D mesh (the historical constructor).
     ///
@@ -757,8 +753,8 @@ impl Topology {
 mod tests {
     use super::*;
 
-    fn mesh48() -> Mesh {
-        Mesh::new(8, 4)
+    fn mesh48() -> Topology {
+        Topology::new(8, 4)
     }
 
     #[test]
@@ -1046,7 +1042,7 @@ mod tests {
     fn from_config_builds_every_fabric() {
         use noclat_sim::config::TopologyConfig;
         let m = Topology::from_config(&TopologyConfig::mesh(8, 4));
-        assert_eq!(m, Mesh::new(8, 4));
+        assert_eq!(m, Topology::new(8, 4));
         assert_eq!(
             Topology::from_config(&TopologyConfig::torus(8, 4)).kind(),
             TopologyKind::Torus

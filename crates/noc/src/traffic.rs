@@ -12,7 +12,7 @@ use noclat_sim::Cycle;
 
 use crate::network::Network;
 use crate::packet::{Priority, VNet};
-use crate::topology::{Coord, Mesh, NodeId};
+use crate::topology::{Coord, NodeId, Topology};
 
 /// A destination-selection rule for synthetic traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub enum TrafficPattern {
 
 impl TrafficPattern {
     /// Picks a destination for a packet from `src`.
-    pub fn destination(&self, mesh: Mesh, src: NodeId, rng: &mut SimRng) -> NodeId {
+    pub fn destination(&self, mesh: Topology, src: NodeId, rng: &mut SimRng) -> NodeId {
         match *self {
             TrafficPattern::UniformRandom => NodeId(rng.index(mesh.num_nodes()) as u16),
             TrafficPattern::Transpose => {
@@ -132,13 +132,13 @@ mod tests {
     use super::*;
     use noclat_sim::config::SystemConfig;
 
-    fn mesh() -> Mesh {
-        Mesh::new(8, 4)
+    fn mesh() -> Topology {
+        Topology::new(8, 4)
     }
 
     #[test]
     fn transpose_is_deterministic() {
-        let m = Mesh::new(4, 4);
+        let m = Topology::new(4, 4);
         let mut rng = SimRng::new(1);
         let d1 = TrafficPattern::Transpose.destination(m, NodeId(1), &mut rng);
         let d2 = TrafficPattern::Transpose.destination(m, NodeId(1), &mut rng);

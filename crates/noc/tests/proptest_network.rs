@@ -2,7 +2,7 @@
 //! no packet is lost, duplicated, or delivered faster than physics allows,
 //! and the age field never decreases along a path.
 
-use noclat_noc::{flits_for_payload, Dir, Mesh, Network, NodeId, Priority, Topology, VNet};
+use noclat_noc::{flits_for_payload, Dir, Network, NodeId, Priority, Topology, VNet};
 use noclat_sim::check::{self, pick, range_u64};
 use noclat_sim::config::{RouterPipeline, RoutingAlgorithm, SystemConfig};
 use noclat_sim::rng::SimRng;
@@ -40,7 +40,7 @@ fn run_traffic(
     let mut cfg = SystemConfig::baseline_32().noc;
     cfg.pipeline = pipeline;
     cfg.bypass_enabled = bypass;
-    let mesh = Mesh::new(8, 4);
+    let mesh = Topology::new(8, 4);
     let mut net: Network<usize> = Network::new(mesh, cfg);
     let mut sorted = injections;
     sorted.sort_by_key(|i| i.at);
@@ -106,7 +106,7 @@ fn conservation_and_physics() {
         let injections = random_injections(rng, 32, 3_000);
         let pipeline = pick(rng, &[RouterPipeline::FiveStage, RouterPipeline::TwoStage]);
         let bypass = rng.chance(0.5);
-        let mesh = Mesh::new(8, 4);
+        let mesh = Topology::new(8, 4);
         let results = run_traffic(injections, pipeline, bypass);
         for (inj, delivered_at, final_age) in results {
             // Physics: a packet cannot beat per-hop pipeline delay.
@@ -144,7 +144,7 @@ fn conservation_under_random_drop_faults() {
         let injections = random_injections(rng, 32, 2_000);
         let plan = FaultPlan::uniform_drop(rng.next_u64(), 0.01);
         let cfg = SystemConfig::baseline_32().noc;
-        let mut net: Network<usize> = Network::with_faults(Mesh::new(8, 4), cfg, &plan);
+        let mut net: Network<usize> = Network::with_faults(Topology::new(8, 4), cfg, &plan);
         let mut sorted = injections;
         sorted.sort_by_key(|i| i.at);
         let mut outcome: Vec<Option<&'static str>> = vec![None; sorted.len()];

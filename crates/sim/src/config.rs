@@ -808,6 +808,55 @@ impl KernelKind {
     }
 }
 
+/// Which of the paper's two prioritization schemes a run enables: the one
+/// vocabulary behind `--scheme`, sweepd's `"scheme"` field and every
+/// harness's scheme axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Scheme {
+    /// No prioritization (the default).
+    #[default]
+    Baseline,
+    /// Scheme-1 only: expedite late responses.
+    S1,
+    /// Scheme-2 only: expedite requests bound for idle banks.
+    S2,
+    /// Both schemes (the paper's headline configuration).
+    Both,
+}
+
+impl Scheme {
+    /// Every combination, in the order the harnesses sweep them.
+    pub const ALL: [Scheme; 4] = [Scheme::Baseline, Scheme::S1, Scheme::S2, Scheme::Both];
+
+    /// Parses a scheme name; `none` is an alias of `baseline`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for unknown names.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "baseline" | "none" => Ok(Scheme::Baseline),
+            "s1" => Ok(Scheme::S1),
+            "s2" => Ok(Scheme::S2),
+            "both" => Ok(Scheme::Both),
+            _ => Err(format!(
+                "unknown scheme {value:?} (known: baseline, none, s1, s2, both)"
+            )),
+        }
+    }
+
+    /// The canonical name of this combination.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scheme::Baseline => "baseline",
+            Scheme::S1 => "s1",
+            Scheme::S2 => "s2",
+            Scheme::Both => "both",
+        }
+    }
+}
+
 /// Complete system configuration (the union of Table 1 and the scheme
 /// parameters of Section 3).
 #[derive(Debug, Clone, PartialEq)]
@@ -973,6 +1022,15 @@ impl SystemConfig {
     #[must_use]
     pub fn with_both_schemes(self) -> Self {
         self.with_scheme1().with_scheme2()
+    }
+
+    /// Enables exactly the schemes `scheme` names, with their current
+    /// parameters.
+    #[must_use]
+    pub fn with_scheme(mut self, scheme: Scheme) -> Self {
+        self.scheme1.enabled = matches!(scheme, Scheme::S1 | Scheme::Both);
+        self.scheme2.enabled = matches!(scheme, Scheme::S2 | Scheme::Both);
+        self
     }
 
     /// Number of cores (one application per core).
@@ -1369,6 +1427,23 @@ mod tests {
         let cfg = SystemConfig::baseline_32().with_scheme1();
         assert!(cfg.scheme1.enabled);
         assert!(!cfg.scheme2.enabled);
+    }
+
+    #[test]
+    fn scheme_vocabulary_roundtrips_and_matches_the_toggles() {
+        let base = SystemConfig::baseline_32;
+        for scheme in Scheme::ALL {
+            assert_eq!(Scheme::parse(scheme.name()), Ok(scheme));
+        }
+        assert_eq!(Scheme::parse("none"), Ok(Scheme::Baseline));
+        assert!(Scheme::parse("s3").is_err());
+        assert_eq!(base().with_scheme(Scheme::Baseline), base());
+        assert_eq!(base().with_scheme(Scheme::S1), base().with_scheme1());
+        assert_eq!(base().with_scheme(Scheme::S2), base().with_scheme2());
+        assert_eq!(base().with_scheme(Scheme::Both), base().with_both_schemes());
+        // Exactly the named schemes: selecting one switches the other off.
+        let s2_only = base().with_both_schemes().with_scheme(Scheme::S2);
+        assert_eq!(s2_only, base().with_scheme2());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The perturbation test proves the bands have teeth: breaking a single
 //! model coefficient must push the suite out of band.
 
-use noclat::{RunLengths, SystemConfig, TopologyOverride};
+use noclat::{RunLengths, Scheme, SystemConfig, TopologyOverride};
 use noclat_analytic::AnalyticModel;
 use noclat_workloads::{workload, SpecApp};
 
@@ -47,13 +47,8 @@ const TORUS_GOLDEN: [f64; 4] = [
 const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
 
 fn with_scheme(base: &SystemConfig, scheme: &str) -> SystemConfig {
-    match scheme {
-        "baseline" => base.clone(),
-        "s1" => base.clone().with_scheme1(),
-        "s2" => base.clone().with_scheme2(),
-        "both" => base.clone().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
+    base.clone()
+        .with_scheme(Scheme::parse(scheme).expect("golden scheme name"))
 }
 
 fn mesh_family() -> (SystemConfig, Vec<SpecApp>, RunLengths) {

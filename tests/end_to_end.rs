@@ -29,7 +29,7 @@ fn facade_exposes_the_full_pipeline() {
 #[test]
 fn substrate_crates_compose_via_reexports() {
     // Types from every substrate crate are usable through the facade.
-    let mesh = noclat_repro::noc::Mesh::new(8, 4);
+    let mesh = noclat_repro::noc::Topology::new(8, 4);
     assert_eq!(mesh.num_nodes(), 32);
     let map = noclat_repro::mem::AddressMap::new(64, 4, 16, 8192);
     assert_eq!(map.total_banks(), 64);

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use noclat::{alone_ipc, run_mix, weighted_speedup_of, RunLengths, SystemConfig};
+use noclat::{alone_ipc, run_mix, weighted_speedup_of, RunLengths, Scheme, SystemConfig};
 use noclat_sim::stats::Histogram;
 use noclat_workloads::{workload, SpecApp};
 
@@ -34,14 +34,7 @@ fn lengths() -> RunLengths {
 }
 
 fn config_for(scheme: &str) -> SystemConfig {
-    let base = SystemConfig::baseline_32();
-    match scheme {
-        "baseline" => base,
-        "s1" => base.with_scheme1(),
-        "s2" => base.with_scheme2(),
-        "both" => base.with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
+    SystemConfig::baseline_32().with_scheme(Scheme::parse(scheme).expect("golden scheme name"))
 }
 
 /// The metrics one golden row pins.
@@ -307,13 +300,8 @@ fn torus_lengths() -> RunLengths {
 }
 
 fn torus_config_for(scheme: &str) -> SystemConfig {
-    let mut cfg = match scheme {
-        "baseline" => SystemConfig::baseline_256(),
-        "s1" => SystemConfig::baseline_256().with_scheme1(),
-        "s2" => SystemConfig::baseline_256().with_scheme2(),
-        "both" => SystemConfig::baseline_256().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    };
+    let scheme = Scheme::parse(scheme).expect("golden scheme name");
+    let mut cfg = SystemConfig::baseline_256().with_scheme(scheme);
     TopologyOverride::parse("torus")
         .expect("valid spec")
         .apply(&mut cfg);
