@@ -17,10 +17,11 @@
 //! The model (full derivation in `DESIGN.md` §14):
 //!
 //! * **Rates.** Each core's open-loop demand comes from its profile's
-//!   [`TrafficRate`] (misses per instruction, MLP); a memory-stall IPC
-//!   model converts it to packets/cycle. [`AnalyticModel::evaluate`]
-//!   closes the loop: injection rate and latency are solved to a fixed
-//!   point by bisection, because cores with finite MLP self-throttle.
+//!   [`noclat_workloads::TrafficRate`] (misses per instruction, MLP); a
+//!   memory-stall IPC model converts it to packets/cycle.
+//!   [`AnalyticModel::evaluate`] closes the loop: injection rate and
+//!   latency are solved to a fixed point by bisection, because cores with
+//!   finite MLP self-throttle.
 //! * **Contention.** Every (router, out-port) channel's utilization is
 //!   accumulated exactly from deterministic route walks
 //!   ([`Topology::route_channels`]) of all four legs over all
@@ -46,7 +47,7 @@
 //!   reports the window as the binding constraint.
 
 use noclat_noc::topology::{Dir, NodeId, Topology};
-use noclat_sim::config::{ConfigError, SystemConfig};
+use noclat_sim::config::{ConfigError, RequestPolicyKind, ResponsePolicyKind, SystemConfig};
 use noclat_sim::Cycle;
 use noclat_workloads::SpecApp;
 
@@ -540,16 +541,24 @@ impl AnalyticModel {
 
     // -- operating-point queries ------------------------------------------
 
-    /// Scheme-1 activity: enabled and the run long enough for the first
-    /// periodic threshold update to fire.
+    /// Scheme-1 activity: selected as the response policy and the run long
+    /// enough for the first periodic threshold update to fire. The
+    /// `oldest-first` and `static` kinds have no priority-class model here:
+    /// like `baseline`, they are modelled with the class off.
     fn scheme1_active(&self) -> bool {
-        if !self.cfg.scheme1.enabled {
+        if self.cfg.policy.response != ResponsePolicyKind::Scheme1 {
             return false;
         }
         match (self.warmup, self.measure) {
             (Some(w), Some(m)) => w + m >= self.cfg.scheme1.update_period,
             _ => true,
         }
+    }
+
+    /// Scheme-2 activity: selected as the request policy (`oldest-first` and
+    /// `static` are modelled as baseline, as for responses).
+    fn scheme2_active(&self) -> bool {
+        self.cfg.policy.request == RequestPolicyKind::Scheme2
     }
 
     /// Fraction of responses promoted by Scheme 1 (exponential so-far
@@ -574,7 +583,7 @@ impl AnalyticModel {
     /// Fraction of memory requests promoted by Scheme 2 (probability the
     /// target bank looks idle in the history window).
     fn p_high_req(&self, s: f64) -> f64 {
-        if self.cfg.scheme2.enabled {
+        if self.scheme2_active() {
             (1.0 - self.bank_rho(s)).clamp(0.0, 1.0)
         } else {
             0.0
@@ -736,7 +745,7 @@ impl AnalyticModel {
         if self.scheme1_active() {
             gain *= 1.0 - self.coeffs.scheme1_gain;
         }
-        if self.cfg.scheme2.enabled {
+        if self.scheme2_active() {
             gain *= 1.0 - self.coeffs.scheme2_gain;
         }
         let mut q = q_mean * gain;
@@ -816,7 +825,7 @@ fn port_from_index(i: usize) -> Dir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noclat_sim::config::TopologyOverride;
+    use noclat_sim::config::{Scheme, TopologyOverride};
     use noclat_workloads::workload;
 
     fn mesh_model() -> AnalyticModel {
@@ -909,5 +918,29 @@ mod tests {
         assert!(s2.mean_latency < base.mean_latency);
         // And the expedited class beats the normal class.
         assert!(s2.class_latency.high <= s2.class_latency.low);
+    }
+
+    #[test]
+    fn the_model_follows_the_policy_kinds_however_they_were_set() {
+        let apps = workload(2).apps();
+        let report = |cfg: &SystemConfig| {
+            AnalyticModel::new(cfg, &apps)
+                .unwrap()
+                .with_lengths(2_000, 12_000)
+                .evaluate()
+        };
+        let base = SystemConfig::baseline_32();
+        // What `--policy req=scheme2,resp=scheme1` does to a cell.
+        let mut by_field = base.clone();
+        by_field.policy.request = RequestPolicyKind::Scheme2;
+        by_field.policy.response = ResponsePolicyKind::Scheme1;
+        let both = report(&base.clone().with_scheme(Scheme::Both));
+        assert_eq!(both, report(&by_field));
+        assert_ne!(both, report(&base));
+        // Kinds without a priority-class model are modelled as baseline.
+        let mut unmodelled = base.clone();
+        unmodelled.policy.request = RequestPolicyKind::OldestFirst;
+        unmodelled.policy.response = ResponsePolicyKind::Static;
+        assert_eq!(report(&unmodelled), report(&base));
     }
 }

@@ -3,8 +3,8 @@
 //! the queueing the schemes can jump.
 //!
 //! Two parallel phases: alone-IPC denominators (one hardware point per VC
-//! count — alone runs depend on the NoC too, and the [`AloneMap`] keys by
-//! the full hardware configuration), then the 3 × 2 cell grid.
+//! count — alone runs depend on the NoC too, and the [`sweep::AloneMap`]
+//! keys by the full hardware configuration), then the 3 × 2 cell grid.
 
 use noclat::SystemConfig;
 use noclat_bench::{banner, base_and_both, pct, w};

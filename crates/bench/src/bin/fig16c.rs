@@ -6,8 +6,8 @@
 //! gains are slightly higher (with exceptions, e.g. the paper's w-2/w-3).
 //!
 //! Two parallel phases: alone-IPC denominators (one hardware point per
-//! controller count — the [`AloneMap`] keeps them distinct), then the
-//! 6 × 2 × 2 cell grid.
+//! controller count — the [`sweep::AloneMap`] keeps them distinct), then
+//! the 6 × 2 × 2 cell grid.
 
 use noclat::SystemConfig;
 use noclat_bench::{banner, base_and_both, keyed, ratio_table, w};

@@ -133,14 +133,8 @@ fn main() {
         w.apps()
     };
     // The runner applies `--policy` to the cell; name what it resolves to.
-    let req_policy = match &args.policy.request {
-        Some(name) => name.clone(),
-        None => cfg.policy.request_name(cfg.scheme2.enabled).to_string(),
-    };
-    let resp_policy = match &args.policy.response {
-        Some(name) => name.clone(),
-        None => cfg.policy.response_name(cfg.scheme1.enabled).to_string(),
-    };
+    let req_policy = args.policy.request.unwrap_or(cfg.policy.request).name();
+    let resp_policy = args.policy.response.unwrap_or(cfg.policy.response).name();
     println!(
         "simulating {} ({:?}) on {} cores, scheme={}, policy={req_policy}/{resp_policy}, \
          routing={}, sched={}, {}+{} cycles",

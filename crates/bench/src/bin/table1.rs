@@ -107,8 +107,8 @@ fn main() {
             "Prioritization policies",
             format!(
                 "request {}, response {}, arbitration {:?}",
-                c.policy.request_name(c.scheme2.enabled),
-                c.policy.response_name(c.scheme1.enabled),
+                c.policy.request.name(),
+                c.policy.response.name(),
                 c.noc.starvation
             ),
         ),

@@ -150,6 +150,19 @@ pub fn canonical_core(cfg: &SystemConfig) -> usize {
     (h / 2) * w + w / 2
 }
 
+/// The configuration an alone run of `cfg`'s hardware uses, and the identity
+/// its result is cached under. Alone runs never benefit from prioritization
+/// (there is nothing to contend with), so they run on the baseline policies
+/// and share one result across scheme variants; they are denominators shared
+/// across kernel comparisons too, so the default kernel is pinned.
+#[must_use]
+pub fn alone_config(cfg: &SystemConfig) -> SystemConfig {
+    let mut base = cfg.clone();
+    base.policy = noclat_sim::config::PolicyConfig::default();
+    base.kernel = noclat_sim::config::KernelKind::default();
+    base
+}
+
 /// IPC of `app` running alone (every other core idles), the denominator of
 /// the weighted-speedup metric.
 ///
@@ -159,16 +172,7 @@ pub fn canonical_core(cfg: &SystemConfig) -> usize {
 #[must_use]
 pub fn alone_ipc(cfg: &SystemConfig, app: SpecApp, lengths: RunLengths) -> f64 {
     let core = canonical_core(cfg);
-    // Alone runs never benefit from prioritization (there is nothing to
-    // contend with), so run them on the baseline to share cache entries
-    // across scheme variants.
-    let mut base = cfg.clone();
-    base.scheme1.enabled = false;
-    base.scheme2.enabled = false;
-    base.policy = noclat_sim::config::PolicyConfig::default();
-    // Alone IPCs are denominators shared across kernel comparisons; pin the
-    // default kernel so both sides normalize against the same runs.
-    base.kernel = noclat_sim::config::KernelKind::default();
+    let base = alone_config(cfg);
     let rng = noclat_sim::rng::SimRng::new(base.seed);
     let streams: Vec<Box<dyn InstrStream>> = (0..base.num_cores())
         .map(|slot| {

@@ -41,8 +41,8 @@ pub mod trace;
 pub mod watchdog;
 
 pub use experiment::{
-    alone_ipc, alone_ipc_table, canonical_core, run_mix, weighted_speedup, weighted_speedup_of,
-    AppResult, IdleStream, MixResult, RunLengths,
+    alone_config, alone_ipc, alone_ipc_table, canonical_core, run_mix, weighted_speedup,
+    weighted_speedup_of, AppResult, IdleStream, MixResult, RunLengths,
 };
 pub use messages::{MemMsg, TxnId};
 pub use metrics::{AppLatency, LatencyTracker, SegmentRow, TxnTimes};
@@ -63,13 +63,11 @@ pub use watchdog::{LivenessViolation, Watchdog};
 pub use noclat_sim::cancel::CancelToken;
 pub use noclat_sim::config::{
     ConfigError, KernelKind, McPlacement, MemSchedPolicy, PolicyConfig, PolicyOverride,
-    RouterPipeline, Scheme, Scheme1Config, Scheme2Config, StarvationPolicy, SystemConfig,
-    TopologyConfig, TopologyKind, TopologyOverride, WatchdogConfig,
+    RequestPolicyKind, ResponsePolicyKind, RouterPipeline, Scheme, Scheme1Config, Scheme2Config,
+    StarvationPolicy, SystemConfig, TopologyConfig, TopologyKind, TopologyOverride, WatchdogConfig,
 };
 pub use noclat_sim::error::{FaultError, JournalError, SimError};
 pub use noclat_sim::faults::FaultPlan;
 pub use noclat_sim::journal::{Journal, JournalRecord};
-pub use noclat_sim::pool::{
-    job_rng, job_seed, run_jobs, run_jobs_supervised, Job, JobCtx, RetryPolicy,
-};
+pub use noclat_sim::pool::{job_seed, run_jobs, run_jobs_supervised, Job, JobCtx, RetryPolicy};
 pub use noclat_sim::Cycle;

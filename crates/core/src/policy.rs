@@ -9,20 +9,17 @@
 //!    controller gives a reply it is about to inject (the Scheme-1 site),
 //!    plus the side-channel Scheme-1 needs — periodic threshold updates,
 //!    threshold installation at the controllers, and round-trip feedback.
-//! 3. **Arbitration** (`noclat_noc::ArbitrationPolicy`): how routers rank
+//! 3. **Arbitration** (`noclat_noc::arbiter::key_for`): how routers rank
 //!    competing flits in VC/switch allocation, including the starvation
 //!    age guard.
 //!
-//! Policies are resolved by string name from
-//! [`noclat_sim::config::PolicyConfig`]; the name lists live in
-//! `crates/sim/src/config.rs` (`REQUEST_POLICIES` / `RESPONSE_POLICIES`) so
-//! configuration validation can reject unknown names without this crate.
-//! An unset name derives from the scheme flags, which keeps pre-existing
-//! configurations — including the golden-result suite — byte-identical.
+//! Which request and response policy a run uses is the
+//! [`noclat_sim::config::PolicyConfig`] pair of kinds;
+//! [`build_request_policy`] and [`build_response_policy`] are the only place
+//! a kind is matched to an implementation.
 
 use noclat_noc::Priority;
-use noclat_sim::config::{ConfigError, SystemConfig};
-use noclat_sim::error::SimError;
+use noclat_sim::config::{RequestPolicyKind, ResponsePolicyKind, SystemConfig};
 use noclat_sim::stats::Ewma;
 use noclat_sim::Cycle;
 
@@ -36,7 +33,7 @@ const OLDEST_FIRST_ALPHA: f64 = 0.05;
 /// Decision point 1: the priority an L2 miss gets when it is injected into
 /// the request network toward a memory controller.
 pub trait RequestPolicy: std::fmt::Debug + Send {
-    /// Registry name of this policy.
+    /// CLI name of this policy (the `name()` of the kind that selects it).
     fn name(&self) -> &'static str;
 
     /// Decides the injection priority of an off-chip request leaving the L2
@@ -59,7 +56,7 @@ pub trait RequestPolicy: std::fmt::Debug + Send {
 /// The update hooks default to no-ops so stateless policies implement only
 /// [`ResponsePolicy::response_priority`].
 pub trait ResponsePolicy: std::fmt::Debug + Send {
-    /// Registry name of this policy.
+    /// CLI name of this policy (the `name()` of the kind that selects it).
     fn name(&self) -> &'static str;
 
     /// Threshold updates to broadcast this cycle, as `(core, threshold)`
@@ -325,95 +322,48 @@ impl ResponsePolicy for StaticPolicy {
     }
 }
 
-/// Resolves the configuration's request-policy name to a policy object.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] with [`ConfigError::UnknownPolicy`] for a
-/// name outside the registry ([`SystemConfig::validate`] normally rejects
-/// these earlier).
-pub fn build_request_policy(
-    cfg: &SystemConfig,
-    total_banks: usize,
-) -> Result<Box<dyn RequestPolicy>, SimError> {
-    let name = cfg.policy.request_name(cfg.scheme2.enabled);
-    Ok(match name {
-        "baseline" => Box::new(BaselinePolicy),
-        "scheme2" => Box::new(Scheme2Policy::new(cfg, total_banks)),
-        "oldest-first" => Box::new(OldestFirstPolicy::new(cfg)),
-        "static" => Box::new(StaticPolicy::new(cfg)),
-        other => {
-            return Err(SimError::Config(ConfigError::UnknownPolicy {
-                slot: "request",
-                name: other.to_string(),
-            }))
-        }
-    })
+/// The request policy `cfg.policy.request` selects.
+#[must_use]
+pub fn build_request_policy(cfg: &SystemConfig, total_banks: usize) -> Box<dyn RequestPolicy> {
+    match cfg.policy.request {
+        RequestPolicyKind::Baseline => Box::new(BaselinePolicy),
+        RequestPolicyKind::Scheme2 => Box::new(Scheme2Policy::new(cfg, total_banks)),
+        RequestPolicyKind::OldestFirst => Box::new(OldestFirstPolicy::new(cfg)),
+        RequestPolicyKind::Static => Box::new(StaticPolicy::new(cfg)),
+    }
 }
 
-/// Resolves the configuration's response-policy name to a policy object.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] with [`ConfigError::UnknownPolicy`] for a
-/// name outside the registry.
-pub fn build_response_policy(cfg: &SystemConfig) -> Result<Box<dyn ResponsePolicy>, SimError> {
-    let name = cfg.policy.response_name(cfg.scheme1.enabled);
-    Ok(match name {
-        "baseline" => Box::new(BaselinePolicy),
-        "scheme1" => Box::new(Scheme1Policy::new(cfg)),
-        "oldest-first" => Box::new(OldestFirstPolicy::new(cfg)),
-        "static" => Box::new(StaticPolicy::new(cfg)),
-        other => {
-            return Err(SimError::Config(ConfigError::UnknownPolicy {
-                slot: "response",
-                name: other.to_string(),
-            }))
-        }
-    })
+/// The response policy `cfg.policy.response` selects.
+#[must_use]
+pub fn build_response_policy(cfg: &SystemConfig) -> Box<dyn ResponsePolicy> {
+    match cfg.policy.response {
+        ResponsePolicyKind::Baseline => Box::new(BaselinePolicy),
+        ResponsePolicyKind::Scheme1 => Box::new(Scheme1Policy::new(cfg)),
+        ResponsePolicyKind::OldestFirst => Box::new(OldestFirstPolicy::new(cfg)),
+        ResponsePolicyKind::Static => Box::new(StaticPolicy::new(cfg)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noclat_sim::config::{PolicyConfig, REQUEST_POLICIES, RESPONSE_POLICIES};
 
     fn cfg() -> SystemConfig {
         SystemConfig::baseline_32()
     }
 
     #[test]
-    fn registry_resolves_every_listed_name() {
-        for &name in REQUEST_POLICIES {
+    fn every_kind_builds_the_policy_of_its_name() {
+        for kind in RequestPolicyKind::ALL {
             let mut c = cfg();
-            c.policy.request = Some(name.to_string());
-            let p = build_request_policy(&c, 64).expect("listed name resolves");
-            assert_eq!(p.name(), name);
+            c.policy.request = kind;
+            assert_eq!(build_request_policy(&c, 64).name(), kind.name());
         }
-        for &name in RESPONSE_POLICIES {
+        for kind in ResponsePolicyKind::ALL {
             let mut c = cfg();
-            c.policy.response = Some(name.to_string());
-            let p = build_response_policy(&c).expect("listed name resolves");
-            assert_eq!(p.name(), name);
+            c.policy.response = kind;
+            assert_eq!(build_response_policy(&c).name(), kind.name());
         }
-    }
-
-    #[test]
-    fn default_names_follow_scheme_flags() {
-        let c = cfg();
-        assert_eq!(build_request_policy(&c, 64).unwrap().name(), "baseline");
-        assert_eq!(build_response_policy(&c).unwrap().name(), "baseline");
-        let c = cfg().with_both_schemes();
-        assert_eq!(build_request_policy(&c, 64).unwrap().name(), "scheme2");
-        assert_eq!(build_response_policy(&c).unwrap().name(), "scheme1");
-        // Explicit names beat the flags.
-        let mut c = cfg().with_both_schemes();
-        c.policy = PolicyConfig {
-            request: Some("baseline".to_string()),
-            response: Some("baseline".to_string()),
-        };
-        assert_eq!(build_request_policy(&c, 64).unwrap().name(), "baseline");
-        assert_eq!(build_response_policy(&c).unwrap().name(), "baseline");
     }
 
     #[test]

@@ -119,9 +119,7 @@ mod tests {
     use noclat_sim::config::SystemConfig;
 
     fn cfg() -> Scheme1Config {
-        let mut c = SystemConfig::baseline_32().scheme1;
-        c.enabled = true;
-        c
+        SystemConfig::baseline_32().scheme1
     }
 
     #[test]

@@ -66,9 +66,7 @@ mod tests {
     use noclat_sim::config::SystemConfig;
 
     fn cfg() -> Scheme2Config {
-        let mut c = SystemConfig::baseline_32().scheme2;
-        c.enabled = true;
-        c
+        SystemConfig::baseline_32().scheme2
     }
 
     #[test]

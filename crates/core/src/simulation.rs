@@ -1,11 +1,11 @@
 //! The front door of the simulator: a validating builder plus a run-control
 //! handle.
 //!
-//! [`SimulationBuilder`] collects everything a run needs — configuration,
-//! kernel strategy, policies (by registry name or as a parsed
-//! [`PolicyOverride`]), fault plan, workload and probes — in one fluent
-//! chain, validates the combination once, and yields a [`Simulation`]. The
-//! handle owns the assembled [`System`] and exposes run control
+//! [`SimulationBuilder`] collects everything a run needs — configuration
+//! (which carries the policy kinds), kernel strategy, fault plan, workload
+//! and probes — in one fluent chain, validates the combination once, and
+//! yields a [`Simulation`]. The handle owns the assembled [`System`] and
+//! exposes run control
 //! ([`Simulation::run_until`], [`Simulation::run_to_completion`]) without
 //! callers writing manual step loops.
 //!
@@ -24,7 +24,7 @@
 
 use noclat_cpu::InstrStream;
 use noclat_sim::cancel::CancelToken;
-use noclat_sim::config::{KernelKind, PolicyOverride, StarvationPolicy, SystemConfig};
+use noclat_sim::config::{KernelKind, SystemConfig};
 use noclat_sim::error::SimError;
 use noclat_sim::faults::FaultPlan;
 use noclat_sim::Cycle;
@@ -62,8 +62,8 @@ impl Workload {
 ///
 /// Every setter is sugar over a [`SystemConfig`] field or a [`System`]
 /// attachment; [`SimulationBuilder::build`] validates the combined
-/// configuration (unknown policy names, topology/bank inconsistencies,
-/// malformed fault plans) before anything is assembled.
+/// configuration (topology/bank inconsistencies, malformed fault plans)
+/// before anything is assembled.
 pub struct SimulationBuilder {
     cfg: SystemConfig,
     workload: Workload,
@@ -99,39 +99,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn kernel(mut self, kernel: KernelKind) -> Self {
         self.cfg.kernel = kernel;
-        self
-    }
-
-    /// Selects the request-injection policy by registry name (see
-    /// `REQUEST_POLICIES`); unknown names are rejected at
-    /// [`SimulationBuilder::build`].
-    #[must_use]
-    pub fn request_policy(mut self, name: &str) -> Self {
-        self.cfg.policy.request = Some(name.to_string());
-        self
-    }
-
-    /// Selects the response-injection policy by registry name (see
-    /// `RESPONSE_POLICIES`); unknown names are rejected at
-    /// [`SimulationBuilder::build`].
-    #[must_use]
-    pub fn response_policy(mut self, name: &str) -> Self {
-        self.cfg.policy.response = Some(name.to_string());
-        self
-    }
-
-    /// Selects the router-arbitration starvation policy.
-    #[must_use]
-    pub fn arbitration(mut self, policy: StarvationPolicy) -> Self {
-        self.cfg.noc.starvation = policy;
-        self
-    }
-
-    /// Applies a parsed `req=…,resp=…,arb=…` override in one call (the
-    /// sweep binaries' `--policy` flag).
-    #[must_use]
-    pub fn policy_override(mut self, ov: &PolicyOverride) -> Self {
-        ov.apply(&mut self.cfg);
         self
     }
 
@@ -185,8 +152,7 @@ impl SimulationBuilder {
     /// Returns [`SimError::MissingWorkload`] when neither
     /// [`SimulationBuilder::workload`] nor [`SimulationBuilder::streams`]
     /// was called, and any [`SimError`] the configuration validation or
-    /// assembly raises (unknown policy names, stream-count mismatches,
-    /// malformed fault plans…).
+    /// assembly raises (stream-count mismatches, malformed fault plans…).
     pub fn build(self) -> Result<Simulation, SimError> {
         let mut sys = match self.workload {
             Workload::Apps(apps) => System::assemble_apps(self.cfg, &apps)?,
@@ -252,7 +218,7 @@ impl Simulation {
     /// Runs until every in-flight transaction and network packet has
     /// drained, returning `true` on success. Returns `false` — instead of
     /// looping forever — if the in-flight counts stop changing for
-    /// [`DRAIN_STALL_LIMIT`] cycles (a wedged system; consult
+    /// `DRAIN_STALL_LIMIT` cycles (a wedged system; consult
     /// [`System::violations`] for the diagnosis).
     pub fn run_to_completion(&mut self) -> bool {
         let mut last = (self.sys.txns_in_flight(), self.sys.packets_in_flight());
@@ -318,9 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_unknown_policy_names() {
-        let err = Simulation::builder(SystemConfig::baseline_32())
-            .request_policy("no-such-policy")
+    fn build_rejects_invalid_configurations() {
+        let mut cfg = SystemConfig::baseline_32();
+        cfg.noc.buffer_depth = 0;
+        let err = Simulation::builder(cfg)
             .workload(&apps())
             .build()
             .unwrap_err();
@@ -339,18 +306,6 @@ mod tests {
         assert_eq!(sim.now(), 500);
         sim.run(100);
         assert_eq!(sim.now(), 600);
-    }
-
-    #[test]
-    fn builder_attaches_policies_by_name() {
-        let sim = Simulation::builder(SystemConfig::baseline_32())
-            .request_policy("oldest-first")
-            .response_policy("static")
-            .workload(&apps())
-            .build()
-            .expect("valid");
-        assert_eq!(sim.system().request_policy_name(), "oldest-first");
-        assert_eq!(sim.system().response_policy_name(), "static");
     }
 
     #[test]

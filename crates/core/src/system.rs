@@ -12,7 +12,7 @@
 //! layer ([`crate::policy`]): request injection at L2 miss goes through a
 //! [`RequestPolicy`], response injection at the controllers through a
 //! [`ResponsePolicy`], and router arbitration through the
-//! `ArbitrationPolicy` resolved inside each router. Observers can attach
+//! `StarvationPolicy` key inside each router. Observers can attach
 //! [`Probe`]s to watch hops, controller dequeues and retirements without
 //! perturbing the simulation.
 
@@ -393,8 +393,8 @@ impl System {
             work_seq: 0,
             mcs,
             mc_at_node,
-            req_policy: build_request_policy(&cfg, addr_map.total_banks())?,
-            resp_policy: build_response_policy(&cfg)?,
+            req_policy: build_request_policy(&cfg, addr_map.total_banks()),
+            resp_policy: build_response_policy(&cfg),
             probes: Vec::new(),
             txns: HashMap::new(),
             next_txn: 0,
@@ -791,13 +791,13 @@ impl System {
         }
     }
 
-    /// Registry name of the active request-injection policy.
+    /// CLI name of the active request-injection policy.
     #[must_use]
     pub fn request_policy_name(&self) -> &'static str {
         self.req_policy.name()
     }
 
-    /// Registry name of the active response-injection policy.
+    /// CLI name of the active response-injection policy.
     #[must_use]
     pub fn response_policy_name(&self) -> &'static str {
         self.resp_policy.name()

@@ -319,12 +319,17 @@ impl SweepArgs {
 /// cells *complete*, never what a completed cell contains.
 #[must_use]
 pub fn sweep_fingerprint(args: &SweepArgs) -> u64 {
+    // The policy slots are spelled by CLI name, in the shape journals have
+    // always hashed (the `{:?}` of the override when its slots were strings).
     let mut text = format!(
-        "seed={} warmup={} measure={} policy={:?} kernel={} topology={:?}",
+        "seed={} warmup={} measure={} policy=PolicyOverride {{ request: {:?}, response: {:?}, \
+         arbitration: {:?} }} kernel={} topology={:?}",
         args.seed,
         args.lengths.warmup,
         args.lengths.measure,
-        args.policy,
+        args.policy.request.map(|kind| kind.name()),
+        args.policy.response.map(|kind| kind.name()),
+        args.policy.arbitration,
         args.kernel.name(),
         args.topology,
     );
@@ -405,9 +410,8 @@ mod tests {
         assert!(rest.is_empty());
         let mut cfg = SystemConfig::baseline_32();
         args.apply_policy(&mut cfg);
-        assert_eq!(cfg.policy.request.as_deref(), Some("oldest-first"));
-        assert_eq!(cfg.policy.response.as_deref(), Some("static"));
-        cfg.validate().expect("override produces a valid config");
+        assert_eq!(cfg.policy.request.name(), "oldest-first");
+        assert_eq!(cfg.policy.response.name(), "static");
         // No --policy: configurations pass through untouched.
         let (args, _) = SweepArgs::parse_argv(&argv(&[])).unwrap();
         let mut cfg = SystemConfig::baseline_32();
@@ -483,6 +487,20 @@ mod tests {
         assert_ne!(fp, sweep_fingerprint(&windowed));
         let (polic, _) = SweepArgs::parse_argv(&argv(&["--policy", "req=oldest-first"])).unwrap();
         assert_ne!(fp, sweep_fingerprint(&polic));
+        // A `--policy` journal written when the slots were strings resumes:
+        // the value below is that era's fingerprint of these arguments.
+        let (full, _) = SweepArgs::parse_argv(&argv(&[
+            "--seed",
+            "203354130",
+            "--warmup",
+            "500",
+            "--measure",
+            "20000",
+            "--policy",
+            "req=scheme2,resp=oldest-first,arb=batching:2000",
+        ]))
+        .unwrap();
+        assert_eq!(sweep_fingerprint(&full), 0xbcc8_3a43_c2df_0dfe);
         let (topo, _) = SweepArgs::parse_argv(&argv(&["--topology", "torus"])).unwrap();
         assert_ne!(fp, sweep_fingerprint(&topo));
         let (skipped, _) = SweepArgs::parse_argv(&argv(&["--topology", "express:skip=4"])).unwrap();

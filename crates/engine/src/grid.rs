@@ -14,8 +14,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use noclat::{
-    alone_ipc, run_mix, weighted_speedup_of, KernelKind, MixResult, PolicyConfig, RunLengths,
-    SimError, SystemConfig,
+    alone_config, alone_ipc, run_mix, weighted_speedup_of, MixResult, RunLengths, SimError,
+    SystemConfig,
 };
 use noclat_analytic::AnalyticModel;
 use noclat_sim::journal::fnv1a64;
@@ -557,18 +557,11 @@ pub struct AloneMap {
 }
 
 /// Cache key of a hardware configuration for alone-run purposes: the Debug
-/// rendering of the config with both schemes disabled (alone runs are
-/// scheme-independent by construction — there is nothing to contend with).
+/// rendering of [`alone_config`] (policies and kernel stripped — neither
+/// changes what an alone run measures).
 #[must_use]
 pub fn alone_key(cfg: &SystemConfig) -> String {
-    let mut base = cfg.clone();
-    base.scheme1.enabled = false;
-    base.scheme2.enabled = false;
-    base.policy = PolicyConfig::default();
-    // Kernels are bit-identical, so cycle- and event-kernel sweeps share
-    // their alone denominators (alone_ipc pins the default kernel too).
-    base.kernel = KernelKind::default();
-    format!("{base:?}")
+    format!("{:?}", alone_config(cfg))
 }
 
 impl AloneMap {
@@ -648,6 +641,7 @@ impl AloneMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noclat::{KernelKind, RequestPolicyKind, ResponsePolicyKind};
 
     #[test]
     fn cell_metrics_keep_their_two_renderings() {
@@ -678,8 +672,8 @@ mod tests {
         );
         // Policy selection is also contention-only: alone runs share a key.
         let mut with_policy = base.clone();
-        with_policy.policy.request = Some("oldest-first".to_string());
-        with_policy.policy.response = Some("static".to_string());
+        with_policy.policy.request = RequestPolicyKind::OldestFirst;
+        with_policy.policy.response = ResponsePolicyKind::Static;
         assert_eq!(alone_key(&base), alone_key(&with_policy));
         let mut more_vcs = base.clone();
         more_vcs.noc.vcs_per_port = 8;

@@ -125,8 +125,17 @@ fn escape_into(out: &mut String, s: &str) {
 }
 
 impl Json {
-    fn render(&self, out: &mut String, indent: usize) {
-        const PAD: &str = "  ";
+    /// The one renderer. `depth` is the nesting level in the pretty form
+    /// (two-space indentation, one item per line, `": "` after keys) and
+    /// `None` in the compact form (no whitespace at all).
+    fn render(&self, out: &mut String, depth: Option<usize>) {
+        fn line_break(out: &mut String, depth: Option<usize>) {
+            if let Some(depth) = depth {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth));
+            }
+        }
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -145,42 +154,34 @@ impl Json {
                 out.push('"');
             }
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&PAD.repeat(indent + 1));
-                    item.render(out, indent + 1);
+                    line_break(out, inner);
+                    item.render(out, inner);
                 }
-                out.push('\n');
-                out.push_str(&PAD.repeat(indent));
+                if !items.is_empty() {
+                    line_break(out, depth);
+                }
                 out.push(']');
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&PAD.repeat(indent + 1));
+                    line_break(out, inner);
                     out.push('"');
                     escape_into(out, k);
-                    out.push_str("\": ");
-                    v.render(out, indent + 1);
+                    out.push_str(if depth.is_some() { "\": " } else { "\":" });
+                    v.render(out, inner);
                 }
-                out.push('\n');
-                out.push_str(&PAD.repeat(indent));
+                if !fields.is_empty() {
+                    line_break(out, depth);
+                }
                 out.push('}');
             }
         }
@@ -191,7 +192,7 @@ impl Json {
     #[must_use]
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
-        self.render(&mut out, 0);
+        self.render(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -202,52 +203,8 @@ impl Json {
     #[must_use]
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.render_compact(&mut out);
+        self.render(&mut out, None);
         out
-    }
-
-    fn render_compact(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Uint(v) => out.push_str(&v.to_string()),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&v.to_string());
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_into(out, k);
-                    out.push_str("\":");
-                    v.render_compact(out);
-                }
-                out.push('}');
-            }
-        }
     }
 
     /// Parses a JSON document (the inverse of the serializers, used to

@@ -47,8 +47,6 @@ pub use grid::{
     try_run_pruned_grid, AloneMap, CellMetrics, MixCell, PruneOutcome, PrunedResults,
 };
 pub use json::{Json, Obj, MAX_PARSE_DEPTH};
-pub use noclat_sim::pool::{
-    job_rng, job_seed, run_jobs, run_jobs_supervised, Job, JobCtx, RetryPolicy,
-};
+pub use noclat_sim::pool::{job_seed, run_jobs, run_jobs_supervised, Job, JobCtx, RetryPolicy};
 pub use report::{finish, histogram_json, report, write_json_file};
 pub use server::{CellSpec, ServerConfig, SweepServer};

@@ -27,6 +27,10 @@
 //!   integration suite pins).
 //! * `{"op":"shutdown"}` — stop accepting connections and exit `serve`.
 //!
+//! A request line longer than [`MAX_REQUEST_LINE`] bytes is answered with
+//! `{"ok":false,"error":"request line exceeds N bytes"}` and its connection
+//! is closed; other connections and in-flight cells are unaffected.
+//!
 //! Cached results are spliced into responses as the stored payload string,
 //! byte-for-byte — two clients asking for the same cell always read
 //! identical result bytes, whether computed or cached.
@@ -41,7 +45,7 @@
 //! [`crate::cache::sweepd_cache_fingerprint`] since it spans many sweeps.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -492,15 +496,37 @@ fn error_line(msg: &str) -> String {
         .to_compact_string()
 }
 
+/// Longest request line a connection may send, in bytes (the newline not
+/// counted). The largest legitimate request — a `submit` with every cell
+/// field spelled out — is a few hundred bytes.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    // Never buffer more than the limit plus the byte that proves a line is
+    // over it, whatever the client sends.
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let read = (&mut reader).take(limit).read_until(b'\n', &mut line)?;
+        if read == 0 {
+            return Ok(());
+        }
+        if read > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let refusal = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            writeln!(writer, "{}", error_line(&refusal))?;
+            // Dropping the stream closes this connection only.
+            return writer.flush();
+        }
+        if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        let request = match Json::parse(&line) {
+        let parsed = std::str::from_utf8(&line)
+            .map_err(|e| e.to_string())
+            .and_then(Json::parse);
+        let request = match parsed {
             Ok(request) => request,
             Err(e) => {
                 writeln!(writer, "{}", error_line(&format!("bad request: {e}")))?;
@@ -527,7 +553,6 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Re
         }
         writer.flush()?;
     }
-    Ok(())
 }
 
 /// Looks the key up in cache and in-flight table, closing the race with

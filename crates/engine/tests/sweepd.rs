@@ -240,6 +240,43 @@ fn protocol_errors_are_typed_not_fatal() {
 }
 
 #[test]
+fn oversized_request_line_is_refused_and_only_its_connection_closed() {
+    use noclat_engine::server::MAX_REQUEST_LINE;
+    let dir = tmp_dir("oversized");
+    let daemon = Daemon::spawn(&dir.join("cache.nj"));
+
+    // A line of exactly the limit is still served (padding is whitespace).
+    let mut client = daemon.connect();
+    let mut padded = String::from(r#"{"op":"stats"}"#);
+    padded.push_str(&" ".repeat(MAX_REQUEST_LINE - padded.len()));
+    let stats = client.request(&padded);
+    assert_eq!(stats_field(&stats, "jobs_run"), 0, "{stats}");
+
+    // One byte more, and no newline in sight: the daemon must answer
+    // without waiting for one, then hang up.
+    let flood = vec![b'x'; MAX_REQUEST_LINE + 1];
+    client.stream.write_all(&flood).expect("send flood");
+    client.stream.flush().expect("flush");
+    let refusal = client.read_line();
+    assert_eq!(
+        refusal,
+        format!(r#"{{"ok":false,"error":"request line exceeds {MAX_REQUEST_LINE} bytes"}}"#)
+    );
+    let mut rest = String::new();
+    let n = client
+        .reader
+        .read_line(&mut rest)
+        .expect("read after refusal");
+    assert_eq!(n, 0, "the refused connection is closed, got {rest:?}");
+
+    // Everyone else is unaffected.
+    let mut other = daemon.connect();
+    let stats = other.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats_field(&stats, "jobs_run"), 0, "{stats}");
+    daemon.shutdown();
+}
+
+#[test]
 fn concurrent_identical_submissions_share_one_job() {
     let dir = tmp_dir("join");
     let daemon = Daemon::spawn(&dir.join("cache.nj"));

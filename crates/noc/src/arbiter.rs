@@ -47,7 +47,19 @@ pub fn batching_key(batch: u32, priority: Priority, effective_age: u64) -> u64 {
     batch_rank + pri + effective_age.min((1 << 20) - 1)
 }
 
-/// Key for a candidate under the configured policy.
+/// Key for a candidate under the configured policy (decision point 3 of
+/// the policy layer); larger wins. Equal keys prefer the higher priority
+/// class, then round-robin — that tie-break lives in
+/// [`RoundRobinArbiter::pick`] and is shared by every policy.
+///
+/// * `AgeGuard` — the paper's Section-3.3 rule: high priority wins unless a
+///   normal candidate is older by more than the guard `T`.
+/// * `Batching` — the alternative the paper cites: an older batch beats any
+///   priority difference; within a batch, priority then age.
+/// * `OldestFirst` — the oldest flit wins outright; priority only breaks
+///   exact-age ties.
+/// * `StaticPriority` — the priority class alone decides; within a class,
+///   round-robin. No starvation protection.
 #[must_use]
 pub fn key_for(policy: StarvationPolicy, guard: u32, c: &Candidate) -> u64 {
     match policy {
@@ -58,102 +70,7 @@ pub fn key_for(policy: StarvationPolicy, guard: u32, c: &Candidate) -> u64 {
     }
 }
 
-/// The arbitration-policy seam (decision point 3 of the policy layer): maps
-/// a [`Candidate`] to a scalar key; larger wins. Equal keys prefer the
-/// higher priority class, then round-robin — that tie-break lives in
-/// [`RoundRobinArbiter::pick_with`] and is shared by every policy.
-///
-/// Implementations must be stateless per-arbitration (the same candidate
-/// always maps to the same key within a cycle) so that VA and SA stages can
-/// share one policy object.
-pub trait ArbitrationPolicy: std::fmt::Debug + Send + Sync {
-    /// Scalar key for one candidate; larger wins.
-    fn key(&self, c: &Candidate) -> u64;
-    /// Registry name of this policy.
-    fn name(&self) -> &'static str;
-}
-
-/// The paper's Section-3.3 rule: high priority wins unless a normal
-/// candidate is older by more than the guard `T`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AgeGuardArb {
-    /// The starvation guard `T` in cycles.
-    pub guard: u32,
-}
-
-impl ArbitrationPolicy for AgeGuardArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        arbitration_key(c.priority, c.effective_age, self.guard)
-    }
-    fn name(&self) -> &'static str {
-        "age-guard"
-    }
-}
-
-/// The batching alternative the paper cites: older batch beats any priority
-/// difference; within a batch, priority then age.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchingArb;
-
-impl ArbitrationPolicy for BatchingArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        batching_key(c.batch, c.priority, c.effective_age)
-    }
-    fn name(&self) -> &'static str {
-        "batching"
-    }
-}
-
-/// Pure global-age arbitration: oldest flit wins outright. Priority still
-/// breaks exact-age ties (via the shared tie-break), but never overrides an
-/// age difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OldestFirstArb;
-
-impl ArbitrationPolicy for OldestFirstArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        c.effective_age
-    }
-    fn name(&self) -> &'static str {
-        "oldest-first"
-    }
-}
-
-/// Pure static-priority arbitration: the priority class alone decides;
-/// within a class, round-robin. No starvation protection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticArb;
-
-impl ArbitrationPolicy for StaticArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        u64::from(c.priority == Priority::High)
-    }
-    fn name(&self) -> &'static str {
-        "static"
-    }
-}
-
-/// Resolves a [`StarvationPolicy`] configuration value to its policy
-/// object. Routers hold the result behind an [`std::sync::Arc`] so the
-/// router stays cheaply cloneable.
-#[must_use]
-pub fn arbitration_policy(
-    policy: StarvationPolicy,
-    guard: u32,
-) -> std::sync::Arc<dyn ArbitrationPolicy> {
-    match policy {
-        StarvationPolicy::AgeGuard => std::sync::Arc::new(AgeGuardArb { guard }),
-        StarvationPolicy::Batching { .. } => std::sync::Arc::new(BatchingArb),
-        StarvationPolicy::OldestFirst => std::sync::Arc::new(OldestFirstArb),
-        StarvationPolicy::StaticPriority => std::sync::Arc::new(StaticArb),
-    }
-}
-
-/// Round-robin tie-breaking arbiter with the priority/age key above.
-///
-/// `pick` returns the winning candidate's `tag`. Ties on the key prefer the
-/// higher priority class, then the first candidate at or after the rotating
-/// pointer.
+/// Round-robin tie-breaking arbiter over [`key_for`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
     next: usize,
@@ -166,20 +83,11 @@ impl RoundRobinArbiter {
         Self::default()
     }
 
-    /// Picks a winner among `candidates` under the paper's age-guard rule;
-    /// returns its `tag`, or `None` when there are no candidates. Advances
-    /// the round-robin pointer past the winner.
-    pub fn pick(&mut self, candidates: &[Candidate], starvation_guard: u32) -> Option<usize> {
-        self.pick_with(
-            candidates,
-            &AgeGuardArb {
-                guard: starvation_guard,
-            },
-        )
-    }
-
-    /// Like [`RoundRobinArbiter::pick`], under an explicit arbitration
-    /// policy.
+    /// Picks a winner among `candidates` under `policy` (with starvation
+    /// guard `guard`); returns its `tag`, or `None` when there are no
+    /// candidates. Ties on the key prefer the higher priority class, then
+    /// the first candidate at or after the rotating pointer, which advances
+    /// past the winner.
     ///
     /// The rotating pointer is an index into the candidate list of the
     /// *previous* call, taken modulo the *current* candidate count: which
@@ -187,10 +95,11 @@ impl RoundRobinArbiter {
     /// order, not only on its members. A caller that must reproduce a grant
     /// sequence has to present the same candidates in the same order (the
     /// router lists them in ascending `(port, vc)` order).
-    pub fn pick_with(
+    pub fn pick(
         &mut self,
         candidates: &[Candidate],
-        policy: &dyn ArbitrationPolicy,
+        policy: StarvationPolicy,
+        guard: u32,
     ) -> Option<usize> {
         if candidates.is_empty() {
             return None;
@@ -200,7 +109,7 @@ impl RoundRobinArbiter {
         for offset in 0..n {
             let idx = (self.next + offset) % n;
             let c = candidates[idx];
-            let key = policy.key(&c);
+            let key = key_for(policy, guard, &c);
             let better = match best {
                 None => true,
                 Some((bk, bp, _)) => key > bk || (key == bk && c.priority > bp),
@@ -219,6 +128,9 @@ impl RoundRobinArbiter {
 mod tests {
     use super::*;
 
+    const AGE_GUARD: StarvationPolicy = StarvationPolicy::AgeGuard;
+    const BATCHING: StarvationPolicy = StarvationPolicy::Batching { interval: 64 };
+
     fn cand(tag: usize, priority: Priority, age: u64) -> Candidate {
         Candidate {
             tag,
@@ -233,6 +145,7 @@ mod tests {
         let mut arb = RoundRobinArbiter::new();
         let got = arb.pick(
             &[cand(0, Priority::Normal, 100), cand(1, Priority::High, 10)],
+            AGE_GUARD,
             1000,
         );
         assert_eq!(got, Some(1));
@@ -245,6 +158,7 @@ mod tests {
         let mut arb = RoundRobinArbiter::new();
         let got = arb.pick(
             &[cand(0, Priority::Normal, 1500), cand(1, Priority::High, 10)],
+            AGE_GUARD,
             1000,
         );
         assert_eq!(got, Some(0));
@@ -256,6 +170,7 @@ mod tests {
         let mut arb = RoundRobinArbiter::new();
         let got = arb.pick(
             &[cand(0, Priority::Normal, 1010), cand(1, Priority::High, 10)],
+            AGE_GUARD,
             1000,
         );
         assert_eq!(got, Some(1));
@@ -270,6 +185,7 @@ mod tests {
                 cand(1, Priority::Normal, 50),
                 cand(2, Priority::Normal, 20),
             ],
+            AGE_GUARD,
             1000,
         );
         assert_eq!(got, Some(1));
@@ -285,7 +201,7 @@ mod tests {
         ];
         let mut wins = Vec::new();
         for _ in 0..6 {
-            wins.push(arb.pick(&cands, 1000).unwrap());
+            wins.push(arb.pick(&cands, AGE_GUARD, 1000).unwrap());
         }
         // Every candidate must win at least once across the rotation.
         for tag in 0..3 {
@@ -296,7 +212,7 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick(&[], 1000), None);
+        assert_eq!(arb.pick(&[], AGE_GUARD, 1000), None);
     }
 
     #[test]
@@ -314,10 +230,7 @@ mod tests {
             batch: 3,
         };
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(
-            arb.pick_with(&[old_normal, new_high], &BatchingArb),
-            Some(0)
-        );
+        assert_eq!(arb.pick(&[old_normal, new_high], BATCHING, 1000), Some(0));
     }
 
     #[test]
@@ -335,7 +248,7 @@ mod tests {
             batch: 7,
         };
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick_with(&[normal, high], &BatchingArb), Some(1));
+        assert_eq!(arb.pick(&[normal, high], BATCHING, 1000), Some(1));
     }
 
     #[test]
@@ -350,39 +263,13 @@ mod tests {
         // shared tie-break must still hand the grant to the High class.
         let mut arb = RoundRobinArbiter::new();
         let cands = [cand(0, Priority::Normal, 42), cand(1, Priority::High, 42)];
-        assert_eq!(arb.pick(&cands, 1000), Some(1));
+        assert_eq!(arb.pick(&cands, AGE_GUARD, 1000), Some(1));
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick(&cands, 0), Some(1), "equal keys break by class");
-    }
-
-    #[test]
-    fn policy_objects_match_key_for() {
-        let cands = [
-            cand(3, Priority::Normal, 1500),
-            cand(4, Priority::High, 10),
-            Candidate {
-                tag: 5,
-                priority: Priority::High,
-                effective_age: 700,
-                batch: 2,
-            },
-        ];
-        let table: [(StarvationPolicy, &dyn ArbitrationPolicy); 4] = [
-            (StarvationPolicy::AgeGuard, &AgeGuardArb { guard: 1000 }),
-            (StarvationPolicy::Batching { interval: 64 }, &BatchingArb),
-            (StarvationPolicy::OldestFirst, &OldestFirstArb),
-            (StarvationPolicy::StaticPriority, &StaticArb),
-        ];
-        for (cfg, obj) in table {
-            for c in &cands {
-                assert_eq!(
-                    key_for(cfg, 1000, c),
-                    obj.key(c),
-                    "{cfg:?} vs {}",
-                    obj.name()
-                );
-            }
-        }
+        assert_eq!(
+            arb.pick(&cands, AGE_GUARD, 0),
+            Some(1),
+            "equal keys break by class"
+        );
     }
 
     #[test]
@@ -391,27 +278,21 @@ mod tests {
         let young_high = cand(1, Priority::High, 10);
         let mut arb = RoundRobinArbiter::new();
         assert_eq!(
-            arb.pick_with(&[old_normal, young_high], &OldestFirstArb),
+            arb.pick(
+                &[old_normal, young_high],
+                StarvationPolicy::OldestFirst,
+                1000
+            ),
             Some(0)
         );
         let mut arb = RoundRobinArbiter::new();
         assert_eq!(
-            arb.pick_with(&[old_normal, young_high], &StaticArb),
+            arb.pick(
+                &[old_normal, young_high],
+                StarvationPolicy::StaticPriority,
+                1000
+            ),
             Some(1)
         );
-    }
-
-    #[test]
-    fn factory_resolves_all_variants() {
-        let names: Vec<&str> = [
-            StarvationPolicy::AgeGuard,
-            StarvationPolicy::Batching { interval: 100 },
-            StarvationPolicy::OldestFirst,
-            StarvationPolicy::StaticPriority,
-        ]
-        .into_iter()
-        .map(|p| arbitration_policy(p, 1000).name())
-        .collect();
-        assert_eq!(names, ["age-guard", "batching", "oldest-first", "static"]);
     }
 }

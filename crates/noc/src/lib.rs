@@ -47,10 +47,7 @@ pub mod router;
 pub mod topology;
 pub mod traffic;
 
-pub use arbiter::{
-    arbitration_policy, AgeGuardArb, ArbitrationPolicy, BatchingArb, Candidate, OldestFirstArb,
-    RoundRobinArbiter, StaticArb,
-};
+pub use arbiter::{Candidate, RoundRobinArbiter};
 pub use network::{flits_for_payload, Hop, Network, NetworkStats};
 pub use packet::{accumulate_age, Delivered, Flit, FlitKind, PacketId, PacketMeta, Priority, VNet};
 pub use router::{Router, RouterCounters};

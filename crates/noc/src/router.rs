@@ -12,12 +12,11 @@
 //! residency from 5 cycles to 2.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use noclat_sim::config::NocConfig;
 use noclat_sim::Cycle;
 
-use crate::arbiter::{arbitration_policy, ArbitrationPolicy, Candidate, RoundRobinArbiter};
+use crate::arbiter::{Candidate, RoundRobinArbiter};
 use crate::bitset::BitSet;
 use crate::packet::{accumulate_age, Flit, Priority, VNet};
 use crate::topology::{Dir, NodeId, Topology};
@@ -121,9 +120,6 @@ pub struct Router {
     va_arb: Vec<RoundRobinArbiter>,
     sa_in_arb: Vec<RoundRobinArbiter>,
     sa_out_arb: Vec<RoundRobinArbiter>,
-    /// The arbitration policy shared by VA and both SA phases (decision
-    /// point 3 of the policy layer), resolved once from the configuration.
-    arb: Arc<dyn ArbitrationPolicy>,
     counters: RouterCounters,
     /// Total flits buffered across all input VCs.
     occupancy: usize,
@@ -174,7 +170,6 @@ impl Router {
             va_arb: vec![RoundRobinArbiter::new(); ports],
             sa_in_arb: vec![RoundRobinArbiter::new(); ports],
             sa_out_arb: vec![RoundRobinArbiter::new(); ports],
-            arb: arbitration_policy(cfg.starvation, cfg.starvation_age_guard),
             counters: RouterCounters::default(),
             occupancy: 0,
             needs_rc: BitSet::new(ports * v),
@@ -391,6 +386,7 @@ impl Router {
             });
         }
         let v = self.cfg.vcs_per_port;
+        let (policy, guard) = (self.cfg.starvation, self.cfg.starvation_age_guard);
         let mut from = 0;
         while let Some(out_port) = Self::next_port_candidates(scratch, from) {
             from = out_port + 1;
@@ -406,7 +402,7 @@ impl Router {
                         .iter()
                         .filter(|c| self.free_vc_in_class(out_port, c.tag).is_some()),
                 );
-                let Some(winner) = self.va_arb[out_port].pick_with(&scratch.grantable, &*self.arb)
+                let Some(winner) = self.va_arb[out_port].pick(&scratch.grantable, policy, guard)
                 else {
                     break;
                 };
@@ -437,6 +433,7 @@ impl Router {
         // input port's VCs consecutively.
         scratch.requests.clear();
         let v = self.cfg.vcs_per_port;
+        let (policy, guard) = (self.cfg.starvation, self.cfg.starvation_age_guard);
         let mut next = self.sa_ready.first_from(0);
         while let Some(first) = next {
             let port = self.vcs[first].credit.in_port.index();
@@ -456,7 +453,7 @@ impl Router {
                     scratch.candidates.push(Self::candidate(slot, front, now));
                 }
             }
-            if let Some(tag) = self.sa_in_arb[port].pick_with(&scratch.candidates, &*self.arb) {
+            if let Some(tag) = self.sa_in_arb[port].pick(&scratch.candidates, policy, guard) {
                 let state = &self.vcs[tag];
                 scratch.requests.push(PortRequest {
                     out_port: state.route.expect("SA set is routed").index(),
@@ -475,7 +472,7 @@ impl Router {
         while let Some(out_port) = Self::next_port_candidates(scratch, from) {
             from = out_port + 1;
             let tag = self.sa_out_arb[out_port]
-                .pick_with(&scratch.candidates, &*self.arb)
+                .pick(&scratch.candidates, policy, guard)
                 .expect("an output port with requesters has a winner");
             self.traverse(tag, now, &mut scratch.out);
         }

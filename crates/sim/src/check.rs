@@ -3,9 +3,9 @@
 //! The workspace's randomized tests were originally written against an
 //! external property-testing crate; this module provides the small subset
 //! the tests actually need — run a closure over many seeded random cases and
-//! report a reproducible failure — on top of [`SimRng`](crate::rng::SimRng),
-//! so `cargo test` works fully offline and the case streams are bit-stable
-//! across toolchains.
+//! report a reproducible failure — on top of [`SimRng`], so `cargo test`
+//! works fully offline and the case streams are bit-stable across
+//! toolchains.
 //!
 //! There is no shrinking: a failing case prints its index and master seed so
 //! it can be replayed exactly via `NOCLAT_CHECK_SEED`.

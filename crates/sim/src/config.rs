@@ -521,11 +521,10 @@ pub struct MemConfig {
     pub page_policy: PagePolicy,
 }
 
-/// Scheme-1 (late-response expediting) parameters, Section 3.1.
+/// Scheme-1 (late-response expediting) parameters, Section 3.1. Whether the
+/// scheme runs is [`PolicyConfig::response`]'s decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scheme1Config {
-    /// Whether Scheme-1 is active.
-    pub enabled: bool,
     /// A response is "late" when its so-far delay exceeds
     /// `threshold_factor × Delay_avg` of its application. Default 1.2;
     /// Figure 16a sweeps {1.0, 1.2, 1.4}.
@@ -536,11 +535,10 @@ pub struct Scheme1Config {
     pub update_period: Cycle,
 }
 
-/// Scheme-2 (idle-bank request expediting) parameters, Section 3.2.
+/// Scheme-2 (idle-bank request expediting) parameters, Section 3.2. Whether
+/// the scheme runs is [`PolicyConfig::request`]'s decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scheme2Config {
-    /// Whether Scheme-2 is active.
-    pub enabled: bool,
     /// Sliding-window length `T` of the per-node Bank History Table, in
     /// cycles. Default 200; Figure 16b sweeps {100, 200, 400}.
     pub history_window: Cycle,
@@ -549,64 +547,131 @@ pub struct Scheme2Config {
     pub idle_threshold: u32,
 }
 
-/// Request-injection policy names accepted by the registry (decision
-/// point 1: the priority an L2 miss gets when it enters the request
-/// network). See `DESIGN.md` §10 for the registry contract.
-pub const REQUEST_POLICIES: &[&str] = &["baseline", "scheme2", "oldest-first", "static"];
-
-/// Response-injection policy names accepted by the registry (decision
-/// point 2: the priority a memory controller gives a reply).
-pub const RESPONSE_POLICIES: &[&str] = &["baseline", "scheme1", "oldest-first", "static"];
-
-/// Named prioritization-policy selection (the string-keyed registry).
-///
-/// `None` in a slot means "derive from the scheme flags": the request slot
-/// resolves to `scheme2` when [`Scheme2Config::enabled`] is set and
-/// `baseline` otherwise, and likewise the response slot resolves to
-/// `scheme1` or `baseline`. This keeps every pre-existing configuration —
-/// including the golden-result suite — byte-identical: selecting nothing
-/// selects exactly the hardwired behavior this layer replaced.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PolicyConfig {
-    /// Request-injection policy name (see [`REQUEST_POLICIES`]), or `None`
-    /// to derive from `scheme2.enabled`.
-    pub request: Option<String>,
-    /// Response-injection policy name (see [`RESPONSE_POLICIES`]), or
-    /// `None` to derive from `scheme1.enabled`.
-    pub response: Option<String>,
+/// Decision point 1: the priority an L2 miss gets when it enters the
+/// request network. One variant per implementation; `DESIGN.md` §10 says
+/// where a new one is added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum RequestPolicyKind {
+    /// Every request at normal priority (the default).
+    #[default]
+    Baseline,
+    /// The paper's Scheme-2: expedite requests bound for idle banks.
+    Scheme2,
+    /// Expedite requests older than the running average age.
+    OldestFirst,
+    /// The lower half of the core IDs is always expedited.
+    Static,
 }
 
-impl PolicyConfig {
-    /// The request-policy name this configuration resolves to.
-    #[must_use]
-    pub fn request_name(&self, scheme2_enabled: bool) -> &str {
-        match &self.request {
-            Some(name) => name,
-            None if scheme2_enabled => "scheme2",
-            None => "baseline",
-        }
+impl RequestPolicyKind {
+    /// Every kind, in `--policy` help order.
+    pub const ALL: [Self; 4] = [
+        Self::Baseline,
+        Self::Scheme2,
+        Self::OldestFirst,
+        Self::Static,
+    ];
+
+    /// Parses a `--policy req=` value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for unknown names.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        let known = Self::ALL.into_iter().find(|kind| kind.name() == value);
+        known.ok_or_else(|| {
+            format!(
+                "--policy: unknown request policy {value:?} (known: {})",
+                Self::ALL.map(|kind| kind.name()).join(", ")
+            )
+        })
     }
 
-    /// The response-policy name this configuration resolves to.
+    /// The CLI name of this kind.
     #[must_use]
-    pub fn response_name(&self, scheme1_enabled: bool) -> &str {
-        match &self.response {
-            Some(name) => name,
-            None if scheme1_enabled => "scheme1",
-            None => "baseline",
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Baseline => "baseline",
+            Self::Scheme2 => "scheme2",
+            Self::OldestFirst => "oldest-first",
+            Self::Static => "static",
         }
     }
+}
+
+/// Decision point 2: the priority a memory controller gives a reply it is
+/// about to inject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ResponsePolicyKind {
+    /// Every response at normal priority (the default).
+    #[default]
+    Baseline,
+    /// The paper's Scheme-1: expedite responses later than the owning
+    /// application's advertised threshold.
+    Scheme1,
+    /// Expedite responses older than the running average age.
+    OldestFirst,
+    /// The lower half of the core IDs is always expedited.
+    Static,
+}
+
+impl ResponsePolicyKind {
+    /// Every kind, in `--policy` help order.
+    pub const ALL: [Self; 4] = [
+        Self::Baseline,
+        Self::Scheme1,
+        Self::OldestFirst,
+        Self::Static,
+    ];
+
+    /// Parses a `--policy resp=` value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for unknown names.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        let known = Self::ALL.into_iter().find(|kind| kind.name() == value);
+        known.ok_or_else(|| {
+            format!(
+                "--policy: unknown response policy {value:?} (known: {})",
+                Self::ALL.map(|kind| kind.name()).join(", ")
+            )
+        })
+    }
+
+    /// The CLI name of this kind.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Baseline => "baseline",
+            Self::Scheme1 => "scheme1",
+            Self::OldestFirst => "oldest-first",
+            Self::Static => "static",
+        }
+    }
+}
+
+/// Which request and response policies a run uses: the one home of both
+/// selections. [`SystemConfig::with_scheme`] and [`PolicyOverride::apply`]
+/// write these fields; the simulator, the analytic model and the alone-run
+/// normalisation read them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct PolicyConfig {
+    /// Request-injection policy.
+    pub request: RequestPolicyKind,
+    /// Response-injection policy.
+    pub response: ResponsePolicyKind,
 }
 
 /// A parsed `--policy req=<name>,resp=<name>,arb=<name>` override from the
 /// sweep CLI. Unset slots leave the configuration untouched, so a single
 /// override composes with each binary's own scheme/config sweep.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicyOverride {
     /// Request-injection policy to select, if any.
-    pub request: Option<String>,
+    pub request: Option<RequestPolicyKind>,
     /// Response-injection policy to select, if any.
-    pub response: Option<String>,
+    pub response: Option<ResponsePolicyKind>,
     /// Arbitration policy to select, if any.
     pub arbitration: Option<StarvationPolicy>,
 }
@@ -632,27 +697,9 @@ impl PolicyOverride {
                 .split_once('=')
                 .ok_or_else(|| format!("--policy: expected key=value, got {part:?}"))?;
             match key {
-                "req" | "request" => {
-                    if !REQUEST_POLICIES.contains(&value) {
-                        return Err(format!(
-                            "--policy: unknown request policy {value:?} (known: {})",
-                            REQUEST_POLICIES.join(", ")
-                        ));
-                    }
-                    out.request = Some(value.to_string());
-                }
-                "resp" | "response" => {
-                    if !RESPONSE_POLICIES.contains(&value) {
-                        return Err(format!(
-                            "--policy: unknown response policy {value:?} (known: {})",
-                            RESPONSE_POLICIES.join(", ")
-                        ));
-                    }
-                    out.response = Some(value.to_string());
-                }
-                "arb" | "arbitration" => {
-                    out.arbitration = Some(parse_arbitration(value)?);
-                }
+                "req" | "request" => out.request = Some(RequestPolicyKind::parse(value)?),
+                "resp" | "response" => out.response = Some(ResponsePolicyKind::parse(value)?),
+                "arb" | "arbitration" => out.arbitration = Some(parse_arbitration(value)?),
                 _ => {
                     return Err(format!(
                         "--policy: unknown key {key:?} (known: req, resp, arb)"
@@ -666,11 +713,11 @@ impl PolicyOverride {
     /// Applies the selected slots to a configuration, leaving unset slots
     /// untouched.
     pub fn apply(&self, cfg: &mut SystemConfig) {
-        if let Some(req) = &self.request {
-            cfg.policy.request = Some(req.clone());
+        if let Some(req) = self.request {
+            cfg.policy.request = req;
         }
-        if let Some(resp) = &self.response {
-            cfg.policy.response = Some(resp.clone());
+        if let Some(resp) = self.response {
+            cfg.policy.response = resp;
         }
         if let Some(arb) = self.arbitration {
             cfg.noc.starvation = arb;
@@ -877,8 +924,7 @@ pub struct SystemConfig {
     pub scheme1: Scheme1Config,
     /// Scheme-2 parameters.
     pub scheme2: Scheme2Config,
-    /// Named prioritization-policy selection; defaults derive from the
-    /// scheme flags (see [`PolicyConfig`]).
+    /// Which request and response policies run (baseline by default).
     pub policy: PolicyConfig,
     /// Master RNG seed; every component derives its stream from this.
     pub seed: u64,
@@ -956,12 +1002,10 @@ impl SystemConfig {
                 page_policy: PagePolicy::Open,
             },
             scheme1: Scheme1Config {
-                enabled: false,
                 threshold_factor: 1.2,
                 update_period: 10_000,
             },
             scheme2: Scheme2Config {
-                enabled: false,
                 history_window: 200,
                 idle_threshold: 1,
             },
@@ -1004,17 +1048,17 @@ impl SystemConfig {
         cfg
     }
 
-    /// Enables Scheme-1 with its default parameters.
+    /// Selects Scheme-1 as the response policy, with its current parameters.
     #[must_use]
     pub fn with_scheme1(mut self) -> Self {
-        self.scheme1.enabled = true;
+        self.policy.response = ResponsePolicyKind::Scheme1;
         self
     }
 
-    /// Enables Scheme-2 with its default parameters.
+    /// Selects Scheme-2 as the request policy, with its current parameters.
     #[must_use]
     pub fn with_scheme2(mut self) -> Self {
-        self.scheme2.enabled = true;
+        self.policy.request = RequestPolicyKind::Scheme2;
         self
     }
 
@@ -1024,13 +1068,17 @@ impl SystemConfig {
         self.with_scheme1().with_scheme2()
     }
 
-    /// Enables exactly the schemes `scheme` names, with their current
-    /// parameters.
+    /// Selects exactly the schemes `scheme` names, with their current
+    /// parameters; the slot of an unnamed scheme goes back to baseline.
     #[must_use]
     pub fn with_scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme1.enabled = matches!(scheme, Scheme::S1 | Scheme::Both);
-        self.scheme2.enabled = matches!(scheme, Scheme::S2 | Scheme::Both);
-        self
+        self.policy = PolicyConfig::default();
+        match scheme {
+            Scheme::Baseline => self,
+            Scheme::S1 => self.with_scheme1(),
+            Scheme::S2 => self.with_scheme2(),
+            Scheme::Both => self.with_both_schemes(),
+        }
     }
 
     /// Number of cores (one application per core).
@@ -1168,22 +1216,6 @@ impl SystemConfig {
         if self.recovery.enabled && self.recovery.timeout == 0 {
             return Err(ConfigError::ZeroRecoveryTimeout);
         }
-        if let Some(name) = &self.policy.request {
-            if !REQUEST_POLICIES.contains(&name.as_str()) {
-                return Err(ConfigError::UnknownPolicy {
-                    slot: "request",
-                    name: name.clone(),
-                });
-            }
-        }
-        if let Some(name) = &self.policy.response {
-            if !RESPONSE_POLICIES.contains(&name.as_str()) {
-                return Err(ConfigError::UnknownPolicy {
-                    slot: "response",
-                    name: name.clone(),
-                });
-            }
-        }
         self.faults
             .validate()
             .map_err(ConfigError::InvalidFaultPlan)?;
@@ -1244,13 +1276,6 @@ pub enum ConfigError {
     ZeroWatchdogInterval,
     /// Recovery timeout must be positive when recovery is enabled.
     ZeroRecoveryTimeout,
-    /// A prioritization-policy name is not in the registry.
-    UnknownPolicy {
-        /// Which slot ("request" or "response").
-        slot: &'static str,
-        /// The unrecognized name.
-        name: String,
-    },
     /// The fault plan failed validation.
     InvalidFaultPlan(FaultError),
     /// Concentration factor invalid for the selected fabric (must be 1 on
@@ -1328,9 +1353,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroRecoveryTimeout => {
                 write!(f, "recovery timeout must be positive")
-            }
-            ConfigError::UnknownPolicy { slot, name } => {
-                write!(f, "unknown {slot} policy {name:?}")
             }
             ConfigError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
             ConfigError::BadConcentration {
@@ -1422,11 +1444,11 @@ mod tests {
     #[test]
     fn scheme_toggles() {
         let cfg = SystemConfig::baseline_32().with_both_schemes();
-        assert!(cfg.scheme1.enabled);
-        assert!(cfg.scheme2.enabled);
+        assert_eq!(cfg.policy.response, ResponsePolicyKind::Scheme1);
+        assert_eq!(cfg.policy.request, RequestPolicyKind::Scheme2);
         let cfg = SystemConfig::baseline_32().with_scheme1();
-        assert!(cfg.scheme1.enabled);
-        assert!(!cfg.scheme2.enabled);
+        assert_eq!(cfg.policy.response, ResponsePolicyKind::Scheme1);
+        assert_eq!(cfg.policy.request, RequestPolicyKind::Baseline);
     }
 
     #[test]
@@ -1703,62 +1725,51 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_derive_from_scheme_flags() {
-        let cfg = SystemConfig::baseline_32();
-        assert_eq!(cfg.policy, PolicyConfig::default());
-        assert_eq!(cfg.policy.request_name(false), "baseline");
-        assert_eq!(cfg.policy.request_name(true), "scheme2");
-        assert_eq!(cfg.policy.response_name(false), "baseline");
-        assert_eq!(cfg.policy.response_name(true), "scheme1");
-        let explicit = PolicyConfig {
-            request: Some("oldest-first".to_string()),
-            response: Some("static".to_string()),
-        };
-        // Explicit names win regardless of the scheme flags.
-        assert_eq!(explicit.request_name(true), "oldest-first");
-        assert_eq!(explicit.response_name(true), "static");
-    }
-
-    #[test]
-    fn validation_rejects_unknown_policy_names() {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.policy.request = Some("fifo".to_string());
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::UnknownPolicy {
-                slot: "request",
-                ..
-            })
-        ));
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.policy.response = Some("scheme2".to_string());
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::UnknownPolicy {
-                slot: "response",
-                ..
-            })
-        ));
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.policy.request = Some("scheme2".to_string());
-        cfg.policy.response = Some("scheme1".to_string());
-        assert!(cfg.validate().is_ok());
+    fn policy_kinds_roundtrip_and_default_to_baseline() {
+        assert_eq!(
+            SystemConfig::baseline_32().policy,
+            PolicyConfig {
+                request: RequestPolicyKind::Baseline,
+                response: ResponsePolicyKind::Baseline,
+            }
+        );
+        for kind in RequestPolicyKind::ALL {
+            assert_eq!(RequestPolicyKind::parse(kind.name()), Ok(kind));
+        }
+        for kind in ResponsePolicyKind::ALL {
+            assert_eq!(ResponsePolicyKind::parse(kind.name()), Ok(kind));
+        }
+        // Each slot has its own vocabulary, and the error lists it.
+        let err = RequestPolicyKind::parse("scheme1").unwrap_err();
+        assert_eq!(
+            err,
+            "--policy: unknown request policy \"scheme1\" \
+             (known: baseline, scheme2, oldest-first, static)"
+        );
+        let err = ResponsePolicyKind::parse("fifo").unwrap_err();
+        assert_eq!(
+            err,
+            "--policy: unknown response policy \"fifo\" \
+             (known: baseline, scheme1, oldest-first, static)"
+        );
     }
 
     #[test]
     fn policy_override_parses_and_applies() {
         let ov = PolicyOverride::parse("req=scheme2,resp=scheme1,arb=batching:2000")
             .expect("valid spec");
-        assert_eq!(ov.request.as_deref(), Some("scheme2"));
-        assert_eq!(ov.response.as_deref(), Some("scheme1"));
+        assert_eq!(ov.request, Some(RequestPolicyKind::Scheme2));
+        assert_eq!(ov.response, Some(ResponsePolicyKind::Scheme1));
         assert_eq!(
             ov.arbitration,
             Some(StarvationPolicy::Batching { interval: 2000 })
         );
         let mut cfg = SystemConfig::baseline_32();
         ov.apply(&mut cfg);
-        assert_eq!(cfg.policy.request.as_deref(), Some("scheme2"));
-        assert_eq!(cfg.policy.response.as_deref(), Some("scheme1"));
+        assert_eq!(
+            cfg.policy,
+            SystemConfig::baseline_32().with_both_schemes().policy
+        );
         assert_eq!(
             cfg.noc.starvation,
             StarvationPolicy::Batching { interval: 2000 }
@@ -1769,8 +1780,8 @@ mod tests {
         assert!(ov.request.is_none());
         let mut cfg = SystemConfig::baseline_32();
         ov.apply(&mut cfg);
-        assert!(cfg.policy.request.is_none());
-        assert_eq!(cfg.policy.response.as_deref(), Some("oldest-first"));
+        assert_eq!(cfg.policy.request, RequestPolicyKind::Baseline);
+        assert_eq!(cfg.policy.response, ResponsePolicyKind::OldestFirst);
         assert_eq!(cfg.noc.starvation, StarvationPolicy::AgeGuard);
 
         assert!(PolicyOverride::parse("").expect("empty is fine").is_empty());
@@ -1825,10 +1836,6 @@ mod tests {
             },
             ConfigError::ZeroWatchdogInterval,
             ConfigError::ZeroRecoveryTimeout,
-            ConfigError::UnknownPolicy {
-                slot: "request",
-                name: "fifo".to_string(),
-            },
             ConfigError::InvalidFaultPlan(FaultError::BadProbability(2.0)),
             ConfigError::BadConcentration {
                 concentration: 0,

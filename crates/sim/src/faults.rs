@@ -4,8 +4,8 @@
 //! and when: mesh links drop or delay flits, routers stall their arbitration
 //! pipelines, DRAM banks slow down or go offline, and memory-controller
 //! ingress pipelines exert backpressure. Every stochastic decision derives
-//! from the plan's own seed through [`SimRng`](crate::rng::SimRng), so a
-//! fault scenario replays bit-for-bit from `(config, plan)` alone.
+//! from the plan's own seed through [`SimRng`], so a fault scenario replays
+//! bit-for-bit from `(config, plan)` alone.
 //!
 //! The plan is pure data; components own small *state* evaluators
 //! ([`LinkFaultState`], [`RouterStallState`], [`ControllerFaultState`]) built

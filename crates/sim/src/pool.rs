@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
 use crate::error::SimError;
-use crate::rng::{splitmix64, SimRng};
+use crate::rng::splitmix64;
 
 /// Domain-separation salt for [`job_seed`], so job streams never collide
 /// with component streams split from the same master seed.
@@ -46,7 +46,7 @@ const JOB_SEED_SALT: u64 = 0x6a6f_625f_7365_6564; // "job_seed"
 /// Deterministic per-job seed derived from `(base_seed, job_index)`.
 ///
 /// The derivation is a SplitMix64 finalizer chain (the same construction as
-/// [`SimRng::split`]) under a dedicated salt, so:
+/// [`crate::rng::SimRng::split`]) under a dedicated salt, so:
 ///
 /// * the same `(base_seed, job_index)` always yields the same seed,
 ///   independent of worker count and scheduling order, and
@@ -54,12 +54,6 @@ const JOB_SEED_SALT: u64 = 0x6a6f_625f_7365_6564; // "job_seed"
 #[must_use]
 pub fn job_seed(base_seed: u64, job_index: u64) -> u64 {
     splitmix64(base_seed ^ splitmix64(job_index ^ JOB_SEED_SALT))
-}
-
-/// Deterministic per-job RNG; shorthand for `SimRng::new(job_seed(..))`.
-#[must_use]
-pub fn job_rng(base_seed: u64, job_index: u64) -> SimRng {
-    SimRng::new(job_seed(base_seed, job_index))
 }
 
 /// Per-attempt context handed to a job closure: its cancellation token (the
@@ -360,6 +354,7 @@ fn run_one_attempt<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn results_come_back_in_job_order() {
@@ -381,7 +376,7 @@ mod tests {
             let jobs: Vec<Job<u64>> = (0..10)
                 .map(|i| {
                     Job::new(format!("cell-{i}"), move || {
-                        let mut rng = job_rng(42, i);
+                        let mut rng = SimRng::new(job_seed(42, i));
                         (0..100).map(|_| rng.below(1000)).sum()
                     })
                 })
@@ -444,7 +439,7 @@ mod tests {
         assert_ne!(job_seed(1, 0), job_seed(2, 0));
         // Job streams must not collide with component splits of the same seed.
         let mut component = SimRng::new(1).split(0);
-        let mut job = job_rng(1, 0);
+        let mut job = SimRng::new(job_seed(1, 0));
         let same = (0..64)
             .filter(|_| component.next_u64() == job.next_u64())
             .count();

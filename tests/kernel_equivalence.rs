@@ -1,7 +1,7 @@
 //! Kernel-equivalence matrix: the event-wheel kernel must be *bit-identical*
 //! to the cycle-driven kernel — not statistically close — on every scheme
-//! combination, on both policy-selection paths (scheme flags and registry
-//! names), and under injected faults.
+//! combination, on every request × response policy kind and arbitration
+//! policy, and under injected faults.
 //!
 //! Each cell runs the same configuration under both kernels and compares a
 //! deep fingerprint: per-core counters for all 32 cores, network and
@@ -17,7 +17,8 @@ use noclat_repro::noc::Hop;
 use noclat_repro::sim::faults::{BankFault, BankFaultKind, CycleWindow, FaultPlan, RouterStall};
 use noclat_repro::workloads::workload;
 use noclat_repro::{
-    KernelKind, McDequeue, Probe, Retire, Simulation, SystemConfig, TopologyOverride,
+    KernelKind, McDequeue, Probe, RequestPolicyKind, ResponsePolicyKind, Retire, Simulation,
+    StarvationPolicy, SystemConfig, TopologyOverride,
 };
 
 /// Cycles per run: long enough that Scheme-1's 10k-cycle threshold-update
@@ -29,6 +30,10 @@ const RUN_CYCLES: u64 = 12_000;
 /// wake-up contracts (wraparound links, shared cmesh routers, express
 /// channels), which a few thousand cycles exercise densely.
 const TOPO_RUN_CYCLES: u64 = 3_000;
+
+/// Cycles per cell of the policy-space sweep: enough for every kind to
+/// expedite traffic on the 16-core system, short enough for 19 cells.
+const POLICY_RUN_CYCLES: u64 = 1_500;
 
 /// Records every probe event as a rendered line, shared out via `Arc` so the
 /// stream survives the probe moving into the system.
@@ -109,6 +114,9 @@ fn run_cell(
     }
     sim.run(cycles);
     let sys = sim.system();
+    // Each kind built the implementation of its name.
+    assert_eq!(sys.request_policy_name(), cfg.policy.request.name());
+    assert_eq!(sys.response_policy_name(), cfg.policy.response.name());
     // Violation order can differ across runs when several trip in the same
     // scan (hash-map iteration); the *multiset* is the contract, so sort.
     let mut violations: Vec<String> = sys.violations().iter().map(|v| format!("{v:?}")).collect();
@@ -143,13 +151,14 @@ fn assert_kernels_agree_warmed(label: &str, cfg: &SystemConfig, plan: &FaultPlan
     assert_kernels_agree_for(label, cfg, plan, warmup, RUN_CYCLES);
 }
 
+/// Returns the (agreed) fingerprint for cell-specific checks.
 fn assert_kernels_agree_for(
     label: &str,
     cfg: &SystemConfig,
     plan: &FaultPlan,
     warmup: u64,
     cycles: u64,
-) {
+) -> Fingerprint {
     let cycle = run_cell(label, cfg, plan, warmup, cycles, KernelKind::Cycle);
     let event = run_cell(label, cfg, plan, warmup, cycles, KernelKind::Event);
     assert!(
@@ -175,6 +184,7 @@ fn assert_kernels_agree_for(
         panic!("{label}: first probe divergence at event #{i}:\n  cycle: {c}\n  event: {e}");
     }
     assert_eq!(cycle, event, "{label}: kernels diverged");
+    cycle
 }
 
 #[test]
@@ -205,15 +215,53 @@ fn both_schemes_match() {
     );
 }
 
-/// The registry path: policies selected by name rather than derived from
-/// the scheme flags (the other half of the policy plumbing).
+/// The non-paper policy kinds over the full window (the whole kind space
+/// runs, shorter, in [`every_policy_combination_matches`]).
 #[test]
 fn named_policies_match() {
     let mut cfg = SystemConfig::baseline_32();
-    cfg.policy.request = Some("oldest-first".to_string());
-    cfg.policy.response = Some("static".to_string());
+    cfg.policy.request = RequestPolicyKind::OldestFirst;
+    cfg.policy.response = ResponsePolicyKind::Static;
     let plan = FaultPlan::none();
     assert_kernels_agree("named-policies", &cfg, &plan);
+}
+
+/// The whole policy space, cheaply: all 4 × 4 request × response kinds
+/// under the paper's age guard, plus the paper pair under every arbitration
+/// policy, on the 16-core system. Every cell must build, report the
+/// policies it was given, agree across kernels and leave the watchdog
+/// silent.
+#[test]
+fn every_policy_combination_matches() {
+    let plan = FaultPlan::none();
+    let mut cells = Vec::new();
+    for request in RequestPolicyKind::ALL {
+        for response in ResponsePolicyKind::ALL {
+            let mut cfg = SystemConfig::baseline_16();
+            cfg.policy.request = request;
+            cfg.policy.response = response;
+            cells.push(cfg);
+        }
+    }
+    for starvation in [
+        StarvationPolicy::Batching { interval: 200 },
+        StarvationPolicy::OldestFirst,
+        StarvationPolicy::StaticPriority,
+    ] {
+        let mut cfg = SystemConfig::baseline_16().with_both_schemes();
+        cfg.noc.starvation = starvation;
+        cells.push(cfg);
+    }
+    for cfg in cells {
+        let label = format!(
+            "req={} resp={} arb={:?}",
+            cfg.policy.request.name(),
+            cfg.policy.response.name(),
+            cfg.noc.starvation
+        );
+        let fp = assert_kernels_agree_for(&label, &cfg, &plan, 0, POLICY_RUN_CYCLES);
+        assert_eq!(fp.violations, Vec::<String>::new(), "{label}");
+    }
 }
 
 /// `warm_up` rebuilds the idleness monitors with a stale (cycle-0) sample

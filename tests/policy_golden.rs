@@ -1,30 +1,22 @@
-//! The policy registry's behavior-preservation contract.
+//! The prioritization-policy layer end to end.
 //!
-//! The prioritization-policy layer is a refactor of the paper schemes, not
-//! a reinterpretation: resolving `scheme1`/`scheme2` by name through the
-//! registry must reproduce the hardwired scheme-flag runs *bit for bit*,
-//! and the `baseline` policy must be indistinguishable from running with
-//! the schemes disabled, whatever the flags say. These tests pin both
-//! directions, run the non-paper policies (`oldest-first`, `static`)
-//! end-to-end, and check that attaching probes observes traffic without
-//! perturbing it.
+//! Request and response policies are selected by kind
+//! (`SystemConfig::policy`), so "the paper schemes by name" and "the paper
+//! schemes by flag" are one configuration and need no equivalence test; the
+//! whole kind × kind space is run under both kernels in
+//! `kernel_equivalence.rs`. These tests run the non-paper policies
+//! (`oldest-first`, `static`) through the `--policy` grammar, check that a
+//! built system reports the policies it was given, and check that attaching
+//! probes observes traffic without perturbing it.
 
 use noclat::{
-    run_mix, CountingProbe, PolicyOverride, RunLengths, Simulation, System, SystemConfig,
+    run_mix, CountingProbe, PolicyOverride, RequestPolicyKind, ResponsePolicyKind, RunLengths,
+    Simulation, System, SystemConfig,
 };
 use noclat_sim::config::StarvationPolicy;
 use noclat_workloads::workload;
 
 const WORKLOAD: usize = 2;
-
-/// Same window as the golden suite: long enough for Scheme-1's 10k-cycle
-/// update period to elapse, so the equivalence covers threshold traffic.
-fn lengths() -> RunLengths {
-    RunLengths {
-        warmup: 300,
-        measure: 12_000,
-    }
-}
 
 /// A bit-exact run fingerprint: per-app off-chip counts and IPC bits.
 fn fingerprint(cfg: &SystemConfig, lengths: RunLengths) -> Vec<u64> {
@@ -45,81 +37,7 @@ fn build_system(cfg: SystemConfig, apps: &[noclat_workloads::SpecApp]) -> System
         .into_system()
 }
 
-fn with_policy(mut cfg: SystemConfig, request: &str, response: &str) -> SystemConfig {
-    cfg.policy.request = Some(request.to_string());
-    cfg.policy.response = Some(response.to_string());
-    cfg
-}
-
-/// The tentpole's acceptance bar: for every scheme combination, resolving
-/// the paper schemes by registry name (flags off) is byte-identical to the
-/// hardwired scheme-flag run.
-#[test]
-fn registry_names_reproduce_hardwired_schemes() {
-    let base = SystemConfig::baseline_32();
-    let combos: [(&str, SystemConfig, SystemConfig); 4] = [
-        (
-            "baseline",
-            base.clone(),
-            with_policy(base.clone(), "baseline", "baseline"),
-        ),
-        (
-            "s1",
-            base.clone().with_scheme1(),
-            with_policy(base.clone(), "baseline", "scheme1"),
-        ),
-        (
-            "s2",
-            base.clone().with_scheme2(),
-            with_policy(base.clone(), "scheme2", "baseline"),
-        ),
-        (
-            "both",
-            base.clone().with_both_schemes(),
-            with_policy(base, "scheme2", "scheme1"),
-        ),
-    ];
-    for (name, flags, named) in combos {
-        assert_eq!(
-            fingerprint(&flags, lengths()),
-            fingerprint(&named, lengths()),
-            "{name}: registry-resolved policies diverged from the scheme flags"
-        );
-    }
-}
-
-/// Satellite property: the `baseline` policy is schemes-disabled, across
-/// seeds and regardless of the scheme flags (explicit names beat flags, so
-/// all four golden flag combinations must collapse onto the same run).
-#[test]
-fn baseline_policy_equals_schemes_disabled() {
-    let short = RunLengths {
-        warmup: 200,
-        measure: 6_000,
-    };
-    for seed_bump in [0u64, 1] {
-        let mut reference = SystemConfig::baseline_32();
-        reference.seed ^= seed_bump;
-        let want = fingerprint(&reference, short);
-        let flag_combos: [SystemConfig; 4] = [
-            reference.clone(),
-            reference.clone().with_scheme1(),
-            reference.clone().with_scheme2(),
-            reference.clone().with_both_schemes(),
-        ];
-        for (k, flags) in flag_combos.into_iter().enumerate() {
-            let cfg = with_policy(flags, "baseline", "baseline");
-            assert_eq!(
-                fingerprint(&cfg, short),
-                want,
-                "combo {k} (seed bump {seed_bump}): baseline policy must \
-                 neutralize the scheme flags"
-            );
-        }
-    }
-}
-
-/// The non-paper registry entries run end-to-end, and the `--policy` spec
+/// The non-paper policy kinds run end-to-end, and the `--policy` spec
 /// grammar drives all three decision layers.
 #[test]
 fn oldest_first_and_static_policies_run_end_to_end() {
@@ -151,8 +69,8 @@ fn oldest_first_and_static_policies_run_end_to_end() {
     );
 }
 
-/// The resolved policy objects are visible on the built system (and in its
-/// Debug rendering), for flags-derived and explicit names alike.
+/// The policy objects a system was built with are visible on it (and in
+/// its Debug rendering).
 #[test]
 fn system_reports_resolved_policy_names() {
     let apps = workload(WORKLOAD).apps();
@@ -162,7 +80,9 @@ fn system_reports_resolved_policy_names() {
     let dbg = format!("{sys:?}");
     assert!(dbg.contains("scheme2") && dbg.contains("scheme1"), "{dbg}");
 
-    let cfg = with_policy(SystemConfig::baseline_32(), "oldest-first", "static");
+    let mut cfg = SystemConfig::baseline_32();
+    cfg.policy.request = RequestPolicyKind::OldestFirst;
+    cfg.policy.response = ResponsePolicyKind::Static;
     let sys = build_system(cfg, &apps);
     assert_eq!(sys.request_policy_name(), "oldest-first");
     assert_eq!(sys.response_policy_name(), "static");
