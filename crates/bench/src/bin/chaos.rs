@@ -46,7 +46,8 @@ fn main() {
         ExitCode::Config.exit();
     };
     if scenario == "worker" {
-        worker(&argv[1..]);
+        // The victim is a sweep harness: it takes `NOCLAT_QUICK` like one.
+        worker(&SweepArgs::process_argv()[1..]);
         return;
     }
     let mut dir = std::env::temp_dir().join(format!("noclat-chaos-{}", std::process::id()));

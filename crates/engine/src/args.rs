@@ -157,8 +157,7 @@ impl SweepArgs {
     /// own flags on top of the shared set).
     #[must_use]
     pub fn parse_with_rest(usage: &str) -> (SweepArgs, Vec<String>) {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse_argv(&argv) {
+        match Self::parse_argv(&Self::process_argv()) {
             Ok(pair) => pair,
             Err(e) => {
                 let help = e == "help";
@@ -171,12 +170,20 @@ impl SweepArgs {
         }
     }
 
+    /// All the process state a parse depends on, as [`SweepArgs::parse_argv`]
+    /// input: the command line without the program name, plus the `quick`
+    /// argument when `NOCLAT_QUICK=1` is set.
+    #[must_use]
+    pub fn process_argv() -> Vec<String> {
+        let quick = std::env::var("NOCLAT_QUICK").is_ok_and(|v| v == "1");
+        let quick = quick.then(|| "quick".to_string());
+        std::env::args().skip(1).chain(quick).collect()
+    }
+
     /// Pure parsing core (testable without process state).
     pub fn parse_argv(argv: &[String]) -> Result<(SweepArgs, Vec<String>), String> {
         let mut args = Self::defaults();
-        let mut quick = std::env::var("NOCLAT_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+        let mut quick = false;
         let mut warmup_override = None;
         let mut measure_override = None;
         let mut rest = Vec::new();
@@ -385,6 +392,12 @@ mod tests {
         assert_eq!(args.lengths.warmup, RunLengths::quick().warmup);
         assert_eq!(args.lengths.measure, 123);
         assert_eq!(rest, vec!["--extra".to_string()]);
+
+        // What `NOCLAT_QUICK=1` contributes is an argument, wherever it
+        // lands; explicit windows still win.
+        let (args, _) = SweepArgs::parse_argv(&argv(&["--measure", "123", "quick"])).unwrap();
+        assert_eq!(args.lengths.warmup, RunLengths::quick().warmup);
+        assert_eq!(args.lengths.measure, 123);
     }
 
     #[test]

@@ -22,18 +22,28 @@
 //! * `{"op":"status","key":"<16-hex>"}` — state of one cell.
 //! * `{"op":"result","key":"<16-hex>","wait":bool}` — fetch (optionally
 //!   await) a submitted cell's result.
-//! * `{"op":"cancel","key":"<16-hex>"}` — fire the cell's cancel token.
+//! * `{"op":"cancel","key":"<16-hex>"}` — stop a cell: a queued one never
+//!   runs, a running one has its cancel token fired.
 //! * `{"op":"stats"}` — daemon counters (the dedup/cache-hit proof the
 //!   integration suite pins).
-//! * `{"op":"shutdown"}` — stop accepting connections and exit `serve`.
+//! * `{"op":"shutdown"}` — cancel what is in flight and exit `serve`, which
+//!   returns with the executors joined and the cache file's lock released.
 //!
-//! A request line longer than [`MAX_REQUEST_LINE`] bytes is answered with
-//! `{"ok":false,"error":"request line exceeds N bytes"}` and its connection
-//! is closed; other connections and in-flight cells are unaffected.
+//! Anything else is refused with one `{"ok":false,"error":…}` line. A
+//! request line over [`MAX_REQUEST_LINE`] bytes (`request line exceeds N
+//! bytes`) and a connection beyond [`MAX_CONNECTIONS`] (`too many
+//! connections (limit N)`) are closed after it; nobody else is affected.
 //!
 //! Cached results are spliced into responses as the stored payload string,
 //! byte-for-byte — two clients asking for the same cell always read
 //! identical result bytes, whether computed or cached.
+//!
+//! # State
+//!
+//! One `Mutex<Table>` holds cache, in-flight map and queue: a key is looked
+//! up, enqueued and retired in single critical sections, so it is never in
+//! both cache and map. Each in-flight cell has one lock of its own, for its
+//! state and its waiters' condvar (DESIGN.md §15).
 //!
 //! # Cell addressing
 //!
@@ -44,11 +54,11 @@
 //! [`crate::job_key`]. The cache file itself pins the constant
 //! [`crate::cache::sweepd_cache_fingerprint`] since it spans many sweeps.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use noclat::{
     run_mix, KernelKind, McPlacement, RunLengths, Scheme, SystemConfig, TopologyOverride,
@@ -249,8 +259,9 @@ fn base_config(size: u16) -> Option<SystemConfig> {
 }
 
 /// Lifecycle of an in-flight cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, Default)]
 enum JobState {
+    #[default]
     Queued,
     Running,
     /// Completed; the stored payload string.
@@ -270,38 +281,40 @@ impl JobState {
             JobState::Cancelled => "cancelled",
         }
     }
+}
 
-    fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done(_) | JobState::Failed(_) | JobState::Cancelled
-        )
-    }
+/// What changes about a cell while it is in flight.
+#[derive(Default)]
+struct Progress {
+    state: JobState,
+    /// The running attempt's cancel token, published by the job closure.
+    token: Option<CancelToken>,
+    /// Set by the `cancel` op and by shutdown, so that a cancel can be told
+    /// from a deadline timeout (the pool classifies both as timeouts).
+    cancel_requested: bool,
 }
 
 /// One deduplicated in-flight cell: every concurrent submitter of the same
-/// key shares this entry (and therefore the single simulation).
-#[derive(Debug)]
+/// key shares this entry (and therefore the single simulation). Waiters
+/// block on `changed` holding this entry's lock only, never the table's.
 struct JobEntry {
     key: u64,
     spec: CellSpec,
-    state: Mutex<JobState>,
+    progress: Mutex<Progress>,
     changed: Condvar,
-    /// The running attempt's cancel token, published by the job closure.
-    cancel: Mutex<Option<CancelToken>>,
-    /// Set by the `cancel` op so the server can tell an operator cancel
-    /// from a deadline timeout (the pool classifies both as timeouts).
-    cancel_requested: AtomicBool,
 }
 
 impl JobEntry {
-    fn set_state(&self, next: JobState) {
-        *self.state.lock().expect("job state") = next;
-        self.changed.notify_all();
+    /// The entry's only lock site. Nothing under it panics (state and token
+    /// clones, an atomic store), and every step leaves `Progress` valid, so
+    /// a poisoned lock is recovered, not passed on to every waiter.
+    fn lock(&self) -> MutexGuard<'_, Progress> {
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn state(&self) -> JobState {
-        self.state.lock().expect("job state").clone()
+    fn set_state(&self, next: JobState) {
+        self.lock().state = next;
+        self.changed.notify_all();
     }
 }
 
@@ -323,27 +336,127 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared daemon state.
-struct ServerState {
-    cache: Mutex<ResultCache>,
-    jobs: Mutex<HashMap<u64, Arc<JobEntry>>>,
-    queue: Mutex<mpsc::Sender<Arc<JobEntry>>>,
+/// Where a key stands: exactly one of the three, because the cache and the
+/// in-flight map only ever change together, under the table lock.
+enum Lookup {
+    Cached(String),
+    InFlight(Arc<JobEntry>),
+    Unknown,
+}
+
+/// All of the daemon's mutable state, behind [`Shared`]'s one lock.
+#[derive(Default)]
+struct Table {
+    /// `None` once the daemon has closed and released the cache file.
+    cache: Option<ResultCache>,
+    /// Cells submitted and not finished. While the table stays locked each
+    /// is `Queued` or `Running`: a terminal state is set as the cell leaves.
+    in_flight: HashMap<u64, Arc<JobEntry>>,
+    /// The in-flight cells no executor has claimed yet, oldest first.
+    queue: VecDeque<Arc<JobEntry>>,
+    /// Set by the `shutdown` op: executors stop claiming, `serve` returns.
+    shutdown: bool,
+    /// Open client connections, at most [`MAX_CONNECTIONS`].
+    connections: usize,
+    /// Simulations run to completion (the dedup proof: a cache-served or
+    /// deduplicated submission never increments this).
+    jobs_run: u64,
+    /// `submit`s and `result`s answered straight from the cache.
+    cache_hits: u64,
+    /// Submissions answered by joining an identical in-flight cell.
+    dedup_joins: u64,
+}
+
+impl Table {
+    /// The one place a key is looked up.
+    fn lookup(&self, key: u64) -> Lookup {
+        if let Some(payload) = self.cache.as_ref().and_then(|cache| cache.get(key)) {
+            Lookup::Cached(payload.to_string())
+        } else if let Some(entry) = self.in_flight.get(&key) {
+            Lookup::InFlight(Arc::clone(entry))
+        } else {
+            Lookup::Unknown
+        }
+    }
+
+    /// Cancels an in-flight cell; false when the key is not in flight. A
+    /// running cell's token is fired and its executor relabels the timeout;
+    /// a queued cell is `Cancelled` here and now, and never runs.
+    fn cancel(&mut self, key: u64) -> bool {
+        let Some(entry) = self.in_flight.get(&key) else {
+            return false;
+        };
+        let mut progress = entry.lock();
+        progress.cancel_requested = true;
+        if let Some(token) = &progress.token {
+            token.cancel();
+        }
+        if matches!(progress.state, JobState::Queued) {
+            progress.state = JobState::Cancelled;
+            entry.changed.notify_all();
+            drop(progress);
+            self.queue.retain(|queued| queued.key != key);
+            self.in_flight.remove(&key);
+        }
+        true
+    }
+}
+
+/// What every daemon thread shares: the table, the condvar executors park
+/// on (signalled on enqueue and on close), and two constants.
+struct Shared {
+    table: Mutex<Table>,
+    wake: Condvar,
     retry: RetryPolicy,
     addr: SocketAddr,
-    shutdown: AtomicBool,
-    /// Simulations actually executed (the dedup proof: a cache-served or
-    /// deduplicated submission never increments this).
-    jobs_run: AtomicU64,
-    /// Submissions answered straight from the cache.
-    cache_hits: AtomicU64,
-    /// Submissions answered by joining an identical in-flight cell.
-    dedup_joins: AtomicU64,
+}
+
+impl Shared {
+    /// The table's only lock site. Its sections update maps and counters
+    /// and, in [`executor_loop`], append to the journal (may block on the
+    /// disk; fails as a value); none writes to a socket, simulates or waits
+    /// for a cell. Nothing under the lock panics and every step leaves the
+    /// table valid, so a poisoned lock is recovered: one thread's bug must
+    /// not take down the daemon (or panic its `Drop`).
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// An executor: claims the oldest queued cell, runs it with the table
+/// unlocked, and retires it — in one section its result enters the cache
+/// and its entry leaves the in-flight map; then its waiters wake.
+fn executor_loop(shared: &Shared) {
+    let mut table = shared.lock();
+    while !table.shutdown {
+        let Some(entry) = table.queue.pop_front() else {
+            table = shared
+                .wake
+                .wait(table)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        };
+        entry.set_state(JobState::Running);
+        drop(table);
+        let outcome = run_entry(&shared.retry, &entry);
+        table = shared.lock();
+        if let (JobState::Done(payload), Some(cache)) = (&outcome, table.cache.as_mut()) {
+            if let Err(e) = cache.insert(entry.key, payload) {
+                // Durability degraded, not the in-flight result.
+                eprintln!("sweepd: cache write failed: {e}");
+            }
+            table.jobs_run += 1;
+        }
+        table.in_flight.remove(&entry.key);
+        entry.set_state(outcome);
+    }
 }
 
 /// The sweep daemon: a bound listener plus its executor pool.
 pub struct SweepServer {
     listener: TcpListener,
-    state: Arc<ServerState>,
+    shared: Arc<Shared>,
+    executors: Vec<JoinHandle<()>>,
 }
 
 impl SweepServer {
@@ -366,38 +479,41 @@ impl SweepServer {
             .map_err(|e| format!("local_addr: {e}"))?;
         let cache = ResultCache::open(cache_path, sweepd_cache_fingerprint())
             .map_err(|e| format!("open cache {}: {e}", cache_path.display()))?;
-        let (tx, rx) = mpsc::channel::<Arc<JobEntry>>();
-        let state = Arc::new(ServerState {
-            cache: Mutex::new(cache),
-            jobs: Mutex::new(HashMap::new()),
-            queue: Mutex::new(tx),
-            retry: config.retry.clone(),
-            addr,
-            shutdown: AtomicBool::new(false),
-            jobs_run: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            dedup_joins: AtomicU64::new(0),
-        });
-        let rx = Arc::new(Mutex::new(rx));
+        let table = Table {
+            cache: Some(cache),
+            ..Table::default()
+        };
+        // From here on an early return drops `server`, which closes it.
+        let mut server = SweepServer {
+            listener,
+            shared: Arc::new(Shared {
+                table: Mutex::new(table),
+                wake: Condvar::new(),
+                retry: config.retry.clone(),
+                addr,
+            }),
+            executors: Vec::new(),
+        };
         for worker in 0..config.workers.max(1) {
-            let state = Arc::clone(&state);
-            let rx = Arc::clone(&rx);
-            std::thread::Builder::new()
+            let shared = Arc::clone(&server.shared);
+            let executor = std::thread::Builder::new()
                 .name(format!("sweepd-exec-{worker}"))
-                .spawn(move || executor_loop(&state, &rx))
+                .spawn(move || executor_loop(&shared))
                 .map_err(|e| format!("spawn executor: {e}"))?;
+            server.executors.push(executor);
         }
-        Ok(SweepServer { listener, state })
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.shared.addr
     }
 
     /// Accepts connections until a `shutdown` op arrives, handling each
-    /// client on its own thread.
+    /// client on its own thread, then closes the daemon (see `Drop`): on
+    /// return no executor is alive and the cache file's lock is released.
     ///
     /// # Errors
     ///
@@ -405,20 +521,30 @@ impl SweepServer {
     /// stderr and the daemon keeps serving.
     pub fn serve(self) -> std::io::Result<()> {
         for stream in self.listener.incoming() {
-            if self.state.shutdown.load(Ordering::Acquire) {
+            let table = self.shared.lock();
+            if table.shutdown {
                 break;
             }
+            let admitted = table.connections < MAX_CONNECTIONS;
+            drop(table);
             match stream {
-                Ok(stream) => {
-                    let state = Arc::clone(&self.state);
+                Ok(stream) if admitted => {
+                    self.shared.lock().connections += 1;
+                    let shared = Arc::clone(&self.shared);
                     std::thread::Builder::new()
                         .name("sweepd-conn".to_string())
                         .spawn(move || {
-                            if let Err(e) = handle_connection(&state, stream) {
+                            if let Err(e) = handle_connection(&shared, stream) {
                                 eprintln!("sweepd: connection error: {e}");
                             }
+                            shared.lock().connections -= 1;
                         })?;
                 }
+                // Refused, best effort; dropping the stream closes it.
+                Ok(mut stream) => drop(send(
+                    &mut stream,
+                    Line::error(&format!("too many connections (limit {MAX_CONNECTIONS})")),
+                )),
                 Err(e) => eprintln!("sweepd: accept failed: {e}"),
             }
         }
@@ -426,74 +552,98 @@ impl SweepServer {
     }
 }
 
-/// Executor: claims queued entries and runs them under pool supervision.
-fn executor_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<mpsc::Receiver<Arc<JobEntry>>>>) {
-    loop {
-        // Hold the receiver lock only while claiming, never while running.
-        let entry = match rx.lock().expect("executor queue").recv() {
-            Ok(entry) => entry,
-            Err(_) => return, // all senders gone: daemon is shutting down
-        };
-        run_entry(state, &entry);
-        // Completed (or cancelled) entries leave the in-flight table *after*
-        // their result is visible in the cache, so a submitter always finds
-        // the cell in one of the two (see the submit path's re-check).
-        state.jobs.lock().expect("jobs table").remove(&entry.key);
+impl Drop for SweepServer {
+    /// Closes the daemon: cancels every in-flight cell (its waiters read
+    /// `cancelled`), joins the executors and releases the cache file and
+    /// its lock. A connection thread may outlive this: it finds an empty
+    /// table and closes after its next reply.
+    fn drop(&mut self) {
+        let mut table = self.shared.lock();
+        table.shutdown = true;
+        for key in table.in_flight.keys().copied().collect::<Vec<_>>() {
+            table.cancel(key);
+        }
+        drop(table);
+        self.shared.wake.notify_all();
+        for executor in self.executors.drain(..) {
+            if executor.join().is_err() {
+                eprintln!("sweepd: an executor thread panicked");
+            }
+        }
+        self.shared.lock().cache = None;
     }
 }
 
-fn run_entry(state: &Arc<ServerState>, entry: &Arc<JobEntry>) {
-    if entry.cancel_requested.load(Ordering::Acquire) {
-        entry.set_state(JobState::Cancelled);
-        return;
-    }
-    entry.set_state(JobState::Running);
+/// Runs a claimed cell under pool supervision, to its terminal state.
+fn run_entry(retry: &RetryPolicy, entry: &Arc<JobEntry>) -> JobState {
     let spec = entry.spec.clone();
     let publish = Arc::clone(entry);
     let job = Job::with_ctx(spec.canonical(), move |ctx| {
-        // Expose the attempt's token so the cancel op can fire it.
-        *publish.cancel.lock().expect("cancel slot") = Some(ctx.cancel.clone());
+        // Publish the attempt's token so that a cancel can fire it; an
+        // attempt that starts after the cancel (a retry) ends on the spot.
+        let mut progress = publish.lock();
+        if progress.cancel_requested {
+            ctx.cancel.cancel();
+        }
+        progress.token = Some(ctx.cancel.clone());
+        drop(progress);
         spec.run()
     })
     .config_hash(format!("{:016x}", entry.key));
-    let mut results = run_jobs_supervised(1, vec![job], &state.retry, None);
+    let mut results = run_jobs_supervised(1, vec![job], retry, None);
     match results.pop().expect("one job, one result") {
-        Ok(payload) => {
-            state.jobs_run.fetch_add(1, Ordering::AcqRel);
-            let mut cache = state.cache.lock().expect("cache lock");
-            if let Err(e) = cache.insert(entry.key, &payload) {
-                // Durability degraded, not the in-flight result.
-                eprintln!("sweepd: cache write failed: {e}");
-            }
-            drop(cache);
-            entry.set_state(JobState::Done(payload));
-        }
-        Err(e) => {
-            // An operator cancel is classified by the pool as a timeout
-            // (the token fired); re-label it with the operator's intent.
-            if entry.cancel_requested.load(Ordering::Acquire) {
-                entry.set_state(JobState::Cancelled);
-            } else {
-                entry.set_state(JobState::Failed(e.to_string()));
-            }
-        }
+        Ok(payload) => JobState::Done(payload),
+        // The pool classifies a cancel as a timeout: the token fired.
+        Err(_) if entry.lock().cancel_requested => JobState::Cancelled,
+        Err(e) => JobState::Failed(e.to_string()),
     }
 }
 
-/// Renders a response line with the stored payload spliced in verbatim, so
-/// result bytes are identical however the cell was obtained.
-fn result_line(op: &str, key: u64, status: &str, payload: &str) -> String {
-    format!(
-        r#"{{"ok":true,"op":"{op}","key":"{key:016x}","status":"{status}","result":{payload}}}"#
-    )
+/// One protocol line: a JSON object, then — last and verbatim — a result's
+/// stored payload, so result bytes are identical however the cell was got.
+struct Line(Obj, Option<String>);
+
+impl Line {
+    fn reply(op: &str) -> Line {
+        Line(Obj::new().field("ok", true).field("op", op), None)
+    }
+
+    fn event(name: &str, key: u64) -> Line {
+        Line(Obj::new().field("event", name), None).key(key)
+    }
+
+    fn error(msg: &str) -> Line {
+        Line(Obj::new().field("ok", false).field("error", msg), None)
+    }
+
+    fn field(self, name: &str, value: impl Into<Json>) -> Line {
+        Line(self.0.field(name, value), self.1)
+    }
+
+    fn key(self, key: u64) -> Line {
+        self.field("key", format!("{key:016x}"))
+    }
+
+    fn result(self, payload: String) -> Line {
+        Line(self.0, Some(payload))
+    }
+
+    fn render(self) -> String {
+        let mut line = self.0.build().to_compact_string();
+        if let Some(payload) = self.1 {
+            line.pop();
+            line.push_str(r#","result":"#);
+            line.push_str(&payload);
+            line.push('}');
+        }
+        line
+    }
 }
 
-fn error_line(msg: &str) -> String {
-    Obj::new()
-        .field("ok", false)
-        .field("error", msg)
-        .build()
-        .to_compact_string()
+/// The only place a line reaches a socket: the line, then the newline, on
+/// the unbuffered stream (two writes; ROADMAP has the latency floor).
+fn send(writer: &mut TcpStream, line: Line) -> std::io::Result<()> {
+    writeln!(writer, "{}", line.render())
 }
 
 /// Longest request line a connection may send, in bytes (the newline not
@@ -501,7 +651,14 @@ fn error_line(msg: &str) -> String {
 /// field spelled out — is a few hundred bytes.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Result<()> {
+/// Most client connections served at once; each is a thread.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// A request's answer: the reply line, if any, and the in-flight cell whose
+/// events follow it (`wait:true`). `Err` is the text of a typed refusal.
+type Answer = Result<(Option<Line>, Option<Arc<JobEntry>>), String>;
+
+fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     // Never buffer more than the limit plus the byte that proves a line is
@@ -516,311 +673,147 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Re
         }
         if read > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
             let refusal = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
-            writeln!(writer, "{}", error_line(&refusal))?;
-            // Dropping the stream closes this connection only.
-            return writer.flush();
+            // Returning drops the stream, which closes this connection only.
+            return send(&mut writer, Line::error(&refusal));
         }
         if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        let parsed = std::str::from_utf8(&line)
+        let answered = std::str::from_utf8(&line)
             .map_err(|e| e.to_string())
-            .and_then(Json::parse);
-        let request = match parsed {
-            Ok(request) => request,
-            Err(e) => {
-                writeln!(writer, "{}", error_line(&format!("bad request: {e}")))?;
-                continue;
-            }
-        };
-        let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-        match op {
-            "submit" => handle_submit(state, &request, &mut writer)?,
-            "status" => handle_status(state, &request, &mut writer)?,
-            "result" => handle_result(state, &request, &mut writer)?,
-            "cancel" => handle_cancel(state, &request, &mut writer)?,
-            "stats" => handle_stats(state, &mut writer)?,
-            "shutdown" => {
-                state.shutdown.store(true, Ordering::Release);
-                writeln!(writer, r#"{{"ok":true,"op":"shutdown"}}"#)?;
-                // Wake the accept loop so serve() observes the flag.
-                let _ = TcpStream::connect(state.addr);
-                return Ok(());
-            }
-            other => {
-                writeln!(writer, "{}", error_line(&format!("unknown op {other:?}")))?;
+            .and_then(Json::parse)
+            .map_err(|e| format!("bad request: {e}"))
+            .and_then(|request| answer(shared, &request));
+        let (reply, follow) = answered.unwrap_or_else(|e| (Some(Line::error(&e)), None));
+        if let Some(reply) = reply {
+            send(&mut writer, reply)?;
+        }
+        if let Some(entry) = follow {
+            stream_until_terminal(&entry, &mut writer)?;
+        }
+        if shared.lock().shutdown {
+            // Wake the accept loop so that serve() observes the flag.
+            let _ = TcpStream::connect(shared.addr);
+            return Ok(());
+        }
+    }
+}
+
+/// One request: everything between its parsed line and its [`Answer`].
+fn answer(shared: &Shared, request: &Json) -> Answer {
+    let wait = request.get("wait").and_then(Json::as_bool).unwrap_or(false);
+    let op = request.get("op").and_then(Json::as_str).unwrap_or("");
+    let reply = Line::reply(op);
+    let reply = match op {
+        "submit" => {
+            let cell = request.get("cell").ok_or("submit needs a cell object")?;
+            return submit(shared, CellSpec::from_json(cell)?, reply, wait);
+        }
+        "status" | "result" | "cancel" => {
+            let key = request
+                .get("key")
+                .and_then(Json::as_str)
+                .ok_or("missing key")?;
+            let key = u64::from_str_radix(key, 16).map_err(|e| format!("bad key {key:?}: {e}"))?;
+            let reply = reply.key(key);
+            let mut table = shared.lock();
+            match (op, table.lookup(key)) {
+                ("cancel", _) => reply.field("cancelled", table.cancel(key)),
+                ("status", Lookup::Unknown) => reply.field("status", "unknown"),
+                ("status", Lookup::Cached(_)) => reply.field("status", "cached"),
+                ("result", Lookup::InFlight(entry)) if wait => return Ok((None, Some(entry))),
+                (_, Lookup::InFlight(entry)) => reply.field("status", entry.lock().state.name()),
+                (_, Lookup::Unknown) => return Err("unknown key (never submitted)".into()),
+                (_, Lookup::Cached(payload)) => {
+                    table.cache_hits += 1;
+                    reply.field("status", "cached").result(payload)
+                }
             }
         }
-        writer.flush()?;
-    }
+        "stats" => {
+            let table = shared.lock();
+            let cached = table.cache.as_ref().map_or(0, ResultCache::len);
+            reply
+                .field("jobs_run", table.jobs_run)
+                .field("cache_hits", table.cache_hits)
+                .field("dedup_joins", table.dedup_joins)
+                .field("cache_size", cached as u64)
+                .field("inflight", table.in_flight.len() as u64)
+        }
+        "shutdown" => {
+            shared.lock().shutdown = true;
+            reply
+        }
+        other => return Err(format!("unknown op {other:?}")),
+    };
+    Ok((Some(reply), None))
 }
 
-/// Looks the key up in cache and in-flight table, closing the race with
-/// executors (which insert into the cache before leaving the table, while
-/// holding the table lock for the removal).
-fn find_cell(state: &ServerState, key: u64) -> (Option<String>, Option<Arc<JobEntry>>) {
-    let jobs = state.jobs.lock().expect("jobs table");
-    let entry = jobs.get(&key).cloned();
-    let cached = state
-        .cache
-        .lock()
-        .expect("cache lock")
-        .get(key)
-        .map(str::to_string);
-    (cached, entry)
-}
-
-fn handle_submit(
-    state: &Arc<ServerState>,
-    request: &Json,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    let Some(cell) = request.get("cell") else {
-        return writeln!(writer, "{}", error_line("submit needs a cell object"));
-    };
-    let spec = match CellSpec::from_json(cell) {
-        Ok(spec) => spec,
-        Err(e) => return writeln!(writer, "{}", error_line(&e)),
-    };
+/// Lookup-or-enqueue, in one critical section.
+fn submit(shared: &Shared, spec: CellSpec, reply: Line, wait: bool) -> Answer {
     let key = spec.key();
-    let wait = request.get("wait").and_then(Json::as_bool).unwrap_or(false);
-
-    // Fast path: answered from the cache, byte-identical to the original
-    // computation's response, no simulation work.
-    if let Some(payload) = state.cache.lock().expect("cache lock").get(key) {
-        let line = result_line("submit", key, "cached", payload);
-        state.cache_hits.fetch_add(1, Ordering::AcqRel);
-        return writeln!(writer, "{line}");
-    }
-
-    // Slow path: join an identical in-flight cell or enqueue a new one.
-    // Everything under the jobs lock so an executor completing concurrently
-    // cannot slip between the table check and the cache re-check.
-    let (entry, dedup, cached) = {
-        let mut jobs = state.jobs.lock().expect("jobs table");
-        if let Some(existing) = jobs.get(&key) {
-            state.dedup_joins.fetch_add(1, Ordering::AcqRel);
-            (Arc::clone(existing), true, None)
-        } else if let Some(payload) = state.cache.lock().expect("cache lock").get(key) {
-            // The cell completed between the fast path and here.
-            (
-                Arc::new(JobEntry {
-                    key,
-                    spec: spec.clone(),
-                    state: Mutex::new(JobState::Done(payload.to_string())),
-                    changed: Condvar::new(),
-                    cancel: Mutex::new(None),
-                    cancel_requested: AtomicBool::new(false),
-                }),
-                false,
-                Some(payload.to_string()),
-            )
-        } else {
+    let reply = reply.key(key);
+    let mut table = shared.lock();
+    let (entry, dedup) = match table.lookup(key) {
+        // Byte-identical to the computation's own answer, no simulation work.
+        Lookup::Cached(payload) => {
+            table.cache_hits += 1;
+            return Ok((Some(reply.field("status", "cached").result(payload)), None));
+        }
+        Lookup::InFlight(entry) => {
+            table.dedup_joins += 1;
+            (entry, true)
+        }
+        Lookup::Unknown if table.shutdown => return Err("shutting down".into()),
+        Lookup::Unknown => {
             let entry = Arc::new(JobEntry {
                 key,
-                spec: spec.clone(),
-                state: Mutex::new(JobState::Queued),
+                spec,
+                progress: Mutex::default(),
                 changed: Condvar::new(),
-                cancel: Mutex::new(None),
-                cancel_requested: AtomicBool::new(false),
             });
-            jobs.insert(key, Arc::clone(&entry));
-            state
-                .queue
-                .lock()
-                .expect("queue sender")
-                .send(Arc::clone(&entry))
-                .expect("executor pool outlives the listener");
-            (entry, false, None)
+            table.in_flight.insert(key, Arc::clone(&entry));
+            table.queue.push_back(Arc::clone(&entry));
+            shared.wake.notify_one();
+            (entry, false)
         }
     };
-    if let Some(payload) = cached {
-        let line = result_line("submit", key, "cached", &payload);
-        state.cache_hits.fetch_add(1, Ordering::AcqRel);
-        return writeln!(writer, "{line}");
-    }
-
-    // Ack with the analytic estimate: the client learns immediately roughly
-    // what latency to expect and whether the cell is in a stable regime.
-    let ack = Obj::new()
-        .field("ok", true)
-        .field("op", "submit")
-        .field("key", format!("{key:016x}"))
-        .field("status", entry.state().name())
-        .field("dedup", dedup)
-        .field("estimate", spec.estimate())
-        .build()
-        .to_compact_string();
-    writeln!(writer, "{ack}")?;
-    if !wait {
-        return Ok(());
-    }
-    writer.flush()?;
-    stream_until_terminal(&entry, writer)
-}
-
-/// Streams state-transition events for an entry until it reaches a terminal
-/// state, then emits the terminal event line.
-fn stream_until_terminal(entry: &JobEntry, writer: &mut TcpStream) -> std::io::Result<()> {
-    let mut last: Option<JobState> = None;
-    let mut guard = entry.state.lock().expect("job state");
-    loop {
-        let current = guard.clone();
-        if last.as_ref() != Some(&current) {
-            last = Some(current.clone());
-            if current.is_terminal() {
-                drop(guard);
-                let line = match &current {
-                    JobState::Done(payload) => format!(
-                        r#"{{"event":"done","key":"{:016x}","result":{payload}}}"#,
-                        entry.key
-                    ),
-                    JobState::Failed(msg) => Obj::new()
-                        .field("event", "failed")
-                        .field("key", format!("{:016x}", entry.key))
-                        .field("error", msg.as_str())
-                        .build()
-                        .to_compact_string(),
-                    _ => format!(r#"{{"event":"cancelled","key":"{:016x}"}}"#, entry.key),
-                };
-                return writeln!(writer, "{line}");
-            }
-            // Progress event (queued → running). Write outside the lock so a
-            // slow client never stalls the executor's notify.
-            drop(guard);
-            writeln!(
-                writer,
-                r#"{{"event":"state","key":"{:016x}","state":"{}"}}"#,
-                entry.key,
-                current.name()
-            )?;
-            writer.flush()?;
-            guard = entry.state.lock().expect("job state");
-            continue;
-        }
-        guard = entry.changed.wait(guard).expect("job state");
-    }
-}
-
-fn parse_key(request: &Json) -> Result<u64, String> {
-    let key = request
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or("missing key")?;
-    u64::from_str_radix(key, 16).map_err(|e| format!("bad key {key:?}: {e}"))
-}
-
-fn handle_status(
-    state: &Arc<ServerState>,
-    request: &Json,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    let key = match parse_key(request) {
-        Ok(key) => key,
-        Err(e) => return writeln!(writer, "{}", error_line(&e)),
-    };
-    let (cached, entry) = find_cell(state, key);
-    let status = match (&entry, cached.is_some()) {
-        (Some(entry), _) => entry.state().name().to_string(),
-        (None, true) => "cached".to_string(),
-        (None, false) => "unknown".to_string(),
-    };
-    let line = Obj::new()
-        .field("ok", true)
-        .field("op", "status")
-        .field("key", format!("{key:016x}"))
+    let status = entry.lock().state.name();
+    drop(table);
+    // The ack carries the analytic estimate: roughly what latency to expect
+    // and whether the cell is in a stable regime, before any simulation.
+    let ack = reply
         .field("status", status)
-        .build()
-        .to_compact_string();
-    writeln!(writer, "{line}")
+        .field("dedup", dedup)
+        .field("estimate", entry.spec.estimate());
+    Ok((Some(ack), wait.then_some(entry)))
 }
 
-fn handle_result(
-    state: &Arc<ServerState>,
-    request: &Json,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    let key = match parse_key(request) {
-        Ok(key) => key,
-        Err(e) => return writeln!(writer, "{}", error_line(&e)),
-    };
-    let wait = request.get("wait").and_then(Json::as_bool).unwrap_or(false);
-    let (cached, entry) = find_cell(state, key);
-    if let Some(payload) = cached {
-        state.cache_hits.fetch_add(1, Ordering::AcqRel);
-        return writeln!(writer, "{}", result_line("result", key, "cached", &payload));
-    }
-    let Some(entry) = entry else {
-        return writeln!(writer, "{}", error_line("unknown key (never submitted)"));
-    };
-    if wait {
-        return stream_until_terminal(&entry, writer);
-    }
-    match entry.state() {
-        JobState::Done(payload) => {
-            writeln!(writer, "{}", result_line("result", key, "done", &payload))
+/// Streams an entry's transitions as `state` events, then its terminal
+/// event. Written outside every lock: a slow client stalls no executor.
+fn stream_until_terminal(entry: &JobEntry, writer: &mut TcpStream) -> std::io::Result<()> {
+    let mut last = None;
+    loop {
+        let current = entry
+            .changed
+            .wait_while(entry.lock(), |p| Some(p.state.name()) == last)
+            .unwrap_or_else(PoisonError::into_inner)
+            .state
+            .clone();
+        let name = current.name();
+        let event = |event| Line::event(event, entry.key);
+        let (event, terminal) = match current {
+            JobState::Queued | JobState::Running => (event("state").field("state", name), false),
+            JobState::Done(payload) => (event(name).result(payload), true),
+            JobState::Failed(msg) => (event(name).field("error", msg), true),
+            JobState::Cancelled => (event(name), true),
+        };
+        send(writer, event)?;
+        if terminal {
+            return Ok(());
         }
-        other => {
-            let line = Obj::new()
-                .field("ok", true)
-                .field("op", "result")
-                .field("key", format!("{key:016x}"))
-                .field("status", other.name())
-                .build()
-                .to_compact_string();
-            writeln!(writer, "{line}")
-        }
+        last = Some(name);
     }
-}
-
-fn handle_cancel(
-    state: &Arc<ServerState>,
-    request: &Json,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    let key = match parse_key(request) {
-        Ok(key) => key,
-        Err(e) => return writeln!(writer, "{}", error_line(&e)),
-    };
-    let entry = state.jobs.lock().expect("jobs table").get(&key).cloned();
-    let cancelled = match entry {
-        Some(entry) => {
-            entry.cancel_requested.store(true, Ordering::Release);
-            if let Some(token) = &*entry.cancel.lock().expect("cancel slot") {
-                token.cancel();
-            }
-            true
-        }
-        None => false,
-    };
-    let line = Obj::new()
-        .field("ok", true)
-        .field("op", "cancel")
-        .field("key", format!("{key:016x}"))
-        .field("cancelled", cancelled)
-        .build()
-        .to_compact_string();
-    writeln!(writer, "{line}")
-}
-
-fn handle_stats(state: &Arc<ServerState>, writer: &mut TcpStream) -> std::io::Result<()> {
-    let line = Obj::new()
-        .field("ok", true)
-        .field("op", "stats")
-        .field("jobs_run", state.jobs_run.load(Ordering::Acquire))
-        .field("cache_hits", state.cache_hits.load(Ordering::Acquire))
-        .field("dedup_joins", state.dedup_joins.load(Ordering::Acquire))
-        .field(
-            "cache_size",
-            state.cache.lock().expect("cache lock").len() as u64,
-        )
-        .field(
-            "inflight",
-            state.jobs.lock().expect("jobs table").len() as u64,
-        )
-        .build()
-        .to_compact_string();
-    writeln!(writer, "{line}")
 }
 
 #[cfg(test)]
@@ -896,11 +889,24 @@ mod tests {
     }
 
     #[test]
-    fn result_line_splices_payload_verbatim() {
-        let a = result_line("submit", 0xabc, "cached", r#"{"x":1.5}"#);
-        let b = result_line("submit", 0xabc, "cached", r#"{"x":1.5}"#);
-        assert_eq!(a, b);
-        assert!(a.contains(r#""result":{"x":1.5}"#));
-        assert!(Json::parse(&a).is_ok(), "response lines are valid JSON");
+    fn lines_splice_the_payload_verbatim_and_last() {
+        let hit = Line::reply("submit")
+            .key(0xabc)
+            .field("status", "cached")
+            .result(r#"{"x":1.50}"#.to_string())
+            .render();
+        assert_eq!(
+            hit,
+            r#"{"ok":true,"op":"submit","key":"0000000000000abc","status":"cached","result":{"x":1.50}}"#
+        );
+        assert!(Json::parse(&hit).is_ok(), "response lines are valid JSON");
+        assert_eq!(
+            Line::event("failed", 7).field("error", "a \"b\"").render(),
+            r#"{"event":"failed","key":"0000000000000007","error":"a \"b\""}"#
+        );
+        assert_eq!(
+            Line::error("missing key").render(),
+            r#"{"ok":false,"error":"missing key"}"#
+        );
     }
 }

@@ -24,17 +24,17 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Spawns `sweepd` on an OS-assigned port and waits for its banner.
+    /// Spawns `sweepd` with two workers on an OS-assigned port.
     fn spawn(cache: &Path) -> Daemon {
+        Daemon::spawn_with(cache, &["--jobs", "2"])
+    }
+
+    /// Spawns `sweepd` on an OS-assigned port and waits for its banner.
+    fn spawn_with(cache: &Path, flags: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_sweepd"))
-            .args([
-                "--listen",
-                "127.0.0.1:0",
-                "--cache",
-                cache.to_str().unwrap(),
-                "--jobs",
-                "2",
-            ])
+            .args(["--listen", "127.0.0.1:0", "--cache"])
+            .arg(cache)
+            .args(flags)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -53,21 +53,19 @@ impl Daemon {
     }
 
     fn connect(&self) -> Client {
-        let stream = TcpStream::connect(&self.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(300)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            stream,
-        }
+        Client::connect(&self.addr)
     }
 
     /// Sends the shutdown op and waits for the process to exit.
-    fn shutdown(mut self) {
+    fn shutdown(self) {
         let mut client = self.connect();
         let ack = client.request(r#"{"op":"shutdown"}"#);
         assert!(ack.contains(r#""ok":true"#), "{ack}");
+        self.wait_exit();
+    }
+
+    /// Waits for a daemon that has been told to shut down to exit with 0.
+    fn wait_exit(mut self) {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             match self.child.try_wait().expect("try_wait") {
@@ -85,12 +83,32 @@ impl Daemon {
     }
 }
 
+impl Drop for Daemon {
+    /// A test that fails before its shutdown must not leave a daemon behind
+    /// (it may be simulating an endless cell). A no-op once it has exited.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 struct Client {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
 }
 
 impl Client {
+    fn connect(addr: &str) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(300)))
+            .unwrap();
+        Client {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            stream,
+        }
+    }
+
     fn send(&mut self, line: &str) {
         writeln!(self.stream, "{line}").expect("send");
         self.stream.flush().expect("flush");
@@ -314,5 +332,450 @@ fn concurrent_identical_submissions_share_one_job() {
         1,
         "identical cells must cost one simulation: {stats}"
     );
+    daemon.shutdown();
+}
+
+/// A second small cell, for tests that need one nobody has computed.
+const OTHER_CELL: &str =
+    r#"{"op":"submit","cell":{"size":4,"workload":5,"warmup":200,"measure":2000},"wait":true}"#;
+
+/// A cell far too long to finish inside a test: it only ever ends by
+/// cancellation or deadline.
+const ENDLESS: &str = r#"{"op":"submit","cell":{"size":4,"workload":2,"warmup":200,"measure":4000000000},"wait":true}"#;
+
+/// The 16-hex key of a reply or event line.
+fn key_of(line: &str) -> String {
+    let (_, tail) = line
+        .split_once(r#""key":""#)
+        .unwrap_or_else(|| panic!("no key in {line}"));
+    tail[..16].to_string()
+}
+
+/// Reads `state` events until the cell reports `running`.
+fn await_running(client: &mut Client, key: &str) {
+    loop {
+        let line = client.read_line();
+        if line == format!(r#"{{"event":"state","key":"{key}","state":"running"}}"#) {
+            return;
+        }
+        assert_eq!(
+            line,
+            format!(r#"{{"event":"state","key":"{key}","state":"queued"}}"#)
+        );
+    }
+}
+
+#[test]
+fn cancel_stops_a_running_cell_and_a_queued_cell_never_runs() {
+    let dir = tmp_dir("cancel");
+    let daemon = Daemon::spawn_with(&dir.join("cache.nj"), &["--jobs", "1"]);
+
+    // The single worker is busy with a cell that would run for hours.
+    let mut runner = daemon.connect();
+    let running = key_of(&runner.request(ENDLESS));
+    await_running(&mut runner, &running);
+
+    // A second cell queues behind it.
+    let mut waiter = daemon.connect();
+    let ack = waiter.request(CELL);
+    assert!(ack.contains(r#""status":"queued""#), "{ack}");
+    let queued = key_of(&ack);
+    assert_eq!(
+        waiter.read_line(),
+        format!(r#"{{"event":"state","key":"{queued}","state":"queued"}}"#)
+    );
+
+    // Cancel both from a third connection: the queued one first, so it can
+    // never have been claimed by the worker.
+    let mut operator = daemon.connect();
+    for key in [&queued, &running] {
+        assert_eq!(
+            operator.request(&format!(r#"{{"op":"cancel","key":"{key}"}}"#)),
+            format!(r#"{{"ok":true,"op":"cancel","key":"{key}","cancelled":true}}"#)
+        );
+    }
+    assert_eq!(
+        runner.read_line(),
+        format!(r#"{{"event":"cancelled","key":"{running}"}}"#)
+    );
+    assert_eq!(
+        waiter.read_line(),
+        format!(r#"{{"event":"cancelled","key":"{queued}"}}"#)
+    );
+
+    // Nothing ran to completion, nothing was cached.
+    let stats = operator.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats_field(&stats, "jobs_run"), 0, "{stats}");
+    assert_eq!(stats_field(&stats, "cache_size"), 0, "{stats}");
+
+    // The worker survived: a fresh cell computes, and it is the only
+    // simulation the daemon ever finished (the cancelled queued cell did
+    // not sneak in before it).
+    let mut line = operator.request(OTHER_CELL);
+    while !line.contains(r#""event":"done""#) {
+        assert!(!line.contains(r#""event":"cancelled""#), "{line}");
+        line = operator.read_line();
+    }
+    let stats = operator.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats_field(&stats, "jobs_run"), 1, "{stats}");
+    assert_eq!(stats_field(&stats, "cache_size"), 1, "{stats}");
+    daemon.shutdown();
+}
+
+#[test]
+fn expired_job_timeout_is_a_failed_event_naming_the_deadline() {
+    let dir = tmp_dir("timeout");
+    let daemon = Daemon::spawn_with(
+        &dir.join("cache.nj"),
+        &["--jobs", "1", "--job-timeout", "0.25"],
+    );
+    let mut client = daemon.connect();
+    let key = key_of(&client.request(ENDLESS));
+    await_running(&mut client, &key);
+    let failed = client.read_line();
+    assert!(
+        failed.starts_with(&format!(
+            r#"{{"event":"failed","key":"{key}","error":"sweep job #0 (cell v1 size=4 "#
+        )),
+        "{failed}"
+    );
+    assert!(
+        failed.contains(&format!("exceeded its 250 ms deadline [config {key}]")),
+        "{failed}"
+    );
+    let stats = client.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats_field(&stats, "jobs_run"), 0, "{stats}");
+    assert_eq!(stats_field(&stats, "cache_size"), 0, "{stats}");
+    daemon.shutdown();
+}
+
+/// The wire format, byte for byte. Every deterministic reply is compared
+/// with the string the daemon sent when the protocol was released; the
+/// cached answers splice a payload this test wrote into the cache file
+/// itself, so they do not move with the simulator. Lines that depend on
+/// scheduling (`queued` or `running`) are pinned up to that one word.
+#[test]
+fn reply_bytes_are_pinned() {
+    use noclat_engine::{sweepd_cache_fingerprint, CellSpec, Json, ResultCache};
+
+    const PAYLOAD: &str = r#"{"pinned":1.5,"text":"a \"quoted\" word","list":[1,2,3]}"#;
+    const KEY: &str = "0970a49b431d0895";
+    let dir = tmp_dir("bytes");
+    let cache = dir.join("cache.nj");
+    {
+        let request = Json::parse(CELL).unwrap();
+        let spec = CellSpec::from_json(request.get("cell").unwrap()).unwrap();
+        assert_eq!(format!("{:016x}", spec.key()), KEY, "cache keys are frozen");
+        let mut seeded = ResultCache::open(&cache, sweepd_cache_fingerprint()).unwrap();
+        seeded.insert(spec.key(), PAYLOAD).unwrap();
+    }
+    let daemon = Daemon::spawn_with(&cache, &["--jobs", "1"]);
+    let mut client = daemon.connect();
+
+    let exchanges: &[(&str, &str)] = &[
+        // Refusals: one typed line each, the connection keeps serving.
+        (
+            "{not json",
+            r#"{"ok":false,"error":"bad request: expected '\"' at byte 1"}"#,
+        ),
+        (
+            r#"{"op":"transmogrify"}"#,
+            r#"{"ok":false,"error":"unknown op \"transmogrify\""}"#,
+        ),
+        (
+            r#"{"key":"00"}"#,
+            r#"{"ok":false,"error":"unknown op \"\""}"#,
+        ),
+        (
+            r#"{"op":"submit"}"#,
+            r#"{"ok":false,"error":"submit needs a cell object"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":3}"#,
+            r#"{"ok":false,"error":"cell must be an object"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":{"size":7}}"#,
+            r#"{"ok":false,"error":"cell.size must be 4, 8, 16 or 32"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":{"workload":19}}"#,
+            r#"{"ok":false,"error":"cell.workload must be in 1..=18"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":{"measure":0}}"#,
+            r#"{"ok":false,"error":"cell.measure must be at least 1 cycle"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":{"seed":"x"}}"#,
+            r#"{"ok":false,"error":"cell.seed must be an unsigned integer"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":{"fabric":7}}"#,
+            r#"{"ok":false,"error":"cell.fabric must be a string"}"#,
+        ),
+        (
+            r#"{"op":"status"}"#,
+            r#"{"ok":false,"error":"missing key"}"#,
+        ),
+        (
+            r#"{"op":"result"}"#,
+            r#"{"ok":false,"error":"missing key"}"#,
+        ),
+        (
+            r#"{"op":"cancel"}"#,
+            r#"{"ok":false,"error":"missing key"}"#,
+        ),
+        (
+            r#"{"op":"status","key":"zz"}"#,
+            r#"{"ok":false,"error":"bad key \"zz\": invalid digit found in string"}"#,
+        ),
+        (
+            r#"{"op":"result","key":"00000000000000aa"}"#,
+            r#"{"ok":false,"error":"unknown key (never submitted)"}"#,
+        ),
+        (
+            r#"{"op":"result","key":"00000000000000aa","wait":true}"#,
+            r#"{"ok":false,"error":"unknown key (never submitted)"}"#,
+        ),
+        // Keyed ops on a key nobody submitted.
+        (
+            r#"{"op":"status","key":"00000000000000aa"}"#,
+            r#"{"ok":true,"op":"status","key":"00000000000000aa","status":"unknown"}"#,
+        ),
+        (
+            r#"{"op":"cancel","key":"aa"}"#,
+            r#"{"ok":true,"op":"cancel","key":"00000000000000aa","cancelled":false}"#,
+        ),
+        (
+            r#"{"op":"stats"}"#,
+            r#"{"ok":true,"op":"stats","jobs_run":0,"cache_hits":0,"dedup_joins":0,"cache_size":1,"inflight":0}"#,
+        ),
+        // The cached cell: payload spliced verbatim, always last.
+        (
+            CELL,
+            r#"{"ok":true,"op":"submit","key":"0970a49b431d0895","status":"cached","result":{"pinned":1.5,"text":"a \"quoted\" word","list":[1,2,3]}}"#,
+        ),
+        (
+            r#"{"op":"status","key":"0970a49b431d0895"}"#,
+            r#"{"ok":true,"op":"status","key":"0970a49b431d0895","status":"cached"}"#,
+        ),
+        (
+            r#"{"op":"result","key":"0970a49b431d0895"}"#,
+            r#"{"ok":true,"op":"result","key":"0970a49b431d0895","status":"cached","result":{"pinned":1.5,"text":"a \"quoted\" word","list":[1,2,3]}}"#,
+        ),
+        (
+            r#"{"op":"result","key":"0970a49b431d0895","wait":true}"#,
+            r#"{"ok":true,"op":"result","key":"0970a49b431d0895","status":"cached","result":{"pinned":1.5,"text":"a \"quoted\" word","list":[1,2,3]}}"#,
+        ),
+        (
+            r#"{"op":"cancel","key":"0970a49b431d0895"}"#,
+            r#"{"ok":true,"op":"cancel","key":"0970a49b431d0895","cancelled":false}"#,
+        ),
+        (
+            r#"{"op":"stats"}"#,
+            r#"{"ok":true,"op":"stats","jobs_run":0,"cache_hits":3,"dedup_joins":0,"cache_size":1,"inflight":0}"#,
+        ),
+    ];
+    for (request, reply) in exchanges {
+        assert_eq!(client.request(request), *reply, "reply to {request}");
+    }
+    // Blank lines are skipped, not answered: the next reply is the stats.
+    client.send("");
+    client.send("   ");
+    assert!(client
+        .request(r#"{"op":"stats"}"#)
+        .starts_with(r#"{"ok":true,"op":"stats","#));
+    // Bytes that are not UTF-8 are a bad request, not a dropped connection.
+    client.stream.write_all(b"\xff\xfe\n").unwrap();
+    assert_eq!(
+        client.read_line(),
+        r#"{"ok":false,"error":"bad request: invalid utf-8 sequence of 1 bytes from index 0"}"#
+    );
+
+    // A computed cell: ack, progress events and the terminal event, pinned
+    // up to the scheduling-dependent state word.
+    let one_of = |line: &str, head: &str, tail: &str| {
+        let states = ["queued", "running"];
+        assert!(
+            states.iter().any(|s| line == format!("{head}{s}{tail}")),
+            "{line}\n  is not {head}<queued|running>{tail}"
+        );
+    };
+    let ack = client.request(OTHER_CELL);
+    let key = key_of(&ack);
+    assert_eq!(key, "77b31461c68cd428", "cache keys are frozen");
+    let (head, estimate) = ack
+        .split_once(r#","dedup":false,"estimate":"#)
+        .unwrap_or_else(|| panic!("{ack}"));
+    one_of(
+        head,
+        &format!(r#"{{"ok":true,"op":"submit","key":"{key}","status":""#),
+        "\"",
+    );
+    let estimate = Json::parse(estimate.strip_suffix('}').unwrap()).unwrap();
+    assert!(estimate.get("mean_latency").is_some(), "{ack}");
+    assert_eq!(estimate.get("stable").and_then(Json::as_bool), Some(true));
+    let done = loop {
+        let line = client.read_line();
+        if line.starts_with(r#"{"event":"done""#) {
+            break line;
+        }
+        one_of(
+            &line,
+            &format!(r#"{{"event":"state","key":"{key}","state":""#),
+            "\"}",
+        );
+    };
+    let payload = result_bytes(&done);
+    assert_eq!(
+        done,
+        format!(r#"{{"event":"done","key":"{key}","result":{payload}}}"#)
+    );
+    assert!(Json::parse(payload).is_ok(), "{payload}");
+    assert_eq!(
+        client.request(&format!(r#"{{"op":"result","key":"{key}"}}"#)),
+        format!(
+            r#"{{"ok":true,"op":"result","key":"{key}","status":"cached","result":{payload}}}"#
+        )
+    );
+    assert_eq!(
+        client.request(r#"{"op":"stats"}"#),
+        r#"{"ok":true,"op":"stats","jobs_run":1,"cache_hits":4,"dedup_joins":0,"cache_size":2,"inflight":0}"#
+    );
+
+    // Shutdown acknowledges, then this connection is closed.
+    assert_eq!(
+        client.request(r#"{"op":"shutdown"}"#),
+        r#"{"ok":true,"op":"shutdown"}"#
+    );
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+    daemon.wait_exit();
+}
+
+#[test]
+fn shutdown_joins_the_executors_and_releases_the_cache_lock() {
+    use noclat_engine::{ServerConfig, SweepServer};
+
+    let dir = tmp_dir("release");
+    let cache = dir.join("cache.nj");
+    let lock = noclat_engine::cache::lock_path(&cache);
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    // In-process, so that a leaked executor thread would keep the cache —
+    // and its lock file — alive past `serve()`.
+    let serve = |cache: &Path| {
+        let server = SweepServer::bind("127.0.0.1:0", cache, &config).expect("bind");
+        let addr = server.local_addr().to_string();
+        (addr, std::thread::spawn(move || server.serve()))
+    };
+
+    let (addr, serving) = serve(&cache);
+    let mut client = Client::connect(&addr);
+    let mut line = client.request(CELL);
+    while !line.contains(r#""event":"done""#) {
+        line = client.read_line();
+    }
+    let computed = result_bytes(&line).to_string();
+    assert!(lock.exists(), "a serving daemon holds the cache lock");
+
+    // One cell is running and one is queued when the daemon is told to
+    // stop (two workers, so a third endless cell waits): both waiters read
+    // `cancelled`, and `serve()` still returns.
+    let mut waiters: Vec<(Client, String)> = (0..3)
+        .map(|seed| {
+            let mut waiter = Client::connect(&addr);
+            let endless = ENDLESS.replace(r#""size":4"#, &format!(r#""size":4,"seed":{seed}"#));
+            let key = key_of(&waiter.request(&endless));
+            (waiter, key)
+        })
+        .collect();
+    let mut idle = Client::connect(&addr);
+    idle.request(r#"{"op":"stats"}"#);
+    assert_eq!(
+        client.request(r#"{"op":"shutdown"}"#),
+        r#"{"ok":true,"op":"shutdown"}"#
+    );
+    serving.join().expect("serve thread").expect("serve");
+    assert!(
+        !lock.exists(),
+        "serve() returned with the cache still locked"
+    );
+    for (waiter, key) in &mut waiters {
+        let cancelled = format!(r#"{{"event":"cancelled","key":"{key}"}}"#);
+        while waiter.read_line() != cancelled {}
+    }
+    // A connection that outlived the daemon cannot start new work, and is
+    // closed after the refusal.
+    assert_eq!(
+        idle.request(ENDLESS),
+        r#"{"ok":false,"error":"shutting down"}"#
+    );
+    let mut rest = String::new();
+    assert_eq!(idle.reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+
+    // Same process, same path: the second daemon binds and serves the cell
+    // from the cache.
+    let (addr, serving) = serve(&cache);
+    let mut client = Client::connect(&addr);
+    let hit = client.request(CELL);
+    assert!(hit.contains(r#""status":"cached""#), "{hit}");
+    assert_eq!(result_bytes(&hit), computed);
+    let stats = client.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats_field(&stats, "jobs_run"), 0, "{stats}");
+    client.request(r#"{"op":"shutdown"}"#);
+    serving.join().expect("serve thread").expect("serve");
+    assert!(!lock.exists());
+}
+
+#[test]
+fn connection_over_the_limit_is_refused_and_the_rest_keep_working() {
+    use noclat_engine::server::MAX_CONNECTIONS;
+    let dir = tmp_dir("limit");
+    let daemon = Daemon::spawn_with(&dir.join("cache.nj"), &["--jobs", "1"]);
+
+    // Fill every slot; a round trip on each proves it was admitted. The
+    // first one also has a cell in flight.
+    let mut admitted: Vec<Client> = (0..MAX_CONNECTIONS).map(|_| daemon.connect()).collect();
+    let running = key_of(&admitted[0].request(ENDLESS));
+    for client in &mut admitted[1..] {
+        let stats = client.request(r#"{"op":"stats"}"#);
+        assert_eq!(stats_field(&stats, "inflight"), 1, "{stats}");
+    }
+
+    // One more: a typed refusal, then the connection is closed.
+    let mut extra = daemon.connect();
+    assert_eq!(
+        extra.read_line(),
+        format!(r#"{{"ok":false,"error":"too many connections (limit {MAX_CONNECTIONS})"}}"#)
+    );
+    let mut rest = String::new();
+    assert_eq!(extra.reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+
+    // The others and the in-flight cell are untouched.
+    await_running(&mut admitted[0], &running);
+    let last = admitted.last_mut().unwrap();
+    let status = last.request(&format!(r#"{{"op":"status","key":"{running}"}}"#));
+    assert!(status.contains(r#""status":"running""#), "{status}");
+
+    // A slot frees when its client hangs up (the daemon notices at its next
+    // read, so poll), and the next connection is served again.
+    drop(admitted.split_off(MAX_CONNECTIONS / 2));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let mut retry = daemon.connect();
+        retry.send(r#"{"op":"stats"}"#);
+        let mut reply = String::new();
+        retry.reader.read_line(&mut reply).expect("read");
+        if reply.contains(r#""op":"stats""#) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no slot was ever freed: {reply}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(admitted);
     daemon.shutdown();
 }
