@@ -30,7 +30,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use noclat::{run_mix, RunLengths, SystemConfig};
-use noclat_engine::{self as sweep, ExitCode, Job, Json, Obj, SweepArgs};
+use noclat_engine::{self as sweep, fail_usage, ExitCode, Job, Json, Obj, RestFlags, SweepArgs};
 use noclat_workloads::workload;
 
 const USAGE: &str = "chaos kill|truncate|corrupt|timeout|all [--dir PATH]";
@@ -42,33 +42,19 @@ const GRID_CELLS: u64 = 6;
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(scenario) = argv.first() else {
-        eprintln!("usage: {USAGE}");
-        ExitCode::Config.exit();
+        fail_usage("which scenario?", USAGE)
     };
     if scenario == "worker" {
         // The victim is a sweep harness: it takes `NOCLAT_QUICK` like one.
         worker(&SweepArgs::process_argv()[1..]);
         return;
     }
-    let mut dir = std::env::temp_dir().join(format!("noclat-chaos-{}", std::process::id()));
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--dir" => {
-                let Some(v) = argv.get(i + 1) else {
-                    eprintln!("error: --dir needs a value");
-                    ExitCode::Config.exit();
-                };
-                dir = PathBuf::from(v);
-                i += 2;
-            }
-            other => {
-                eprintln!("error: unknown argument {other}");
-                eprintln!("usage: {USAGE}");
-                ExitCode::Config.exit();
-            }
-        }
-    }
+    let mut flags = RestFlags::new(&argv[1..], USAGE);
+    let dir = flags.take("--dir", |v| Ok::<_, String>(PathBuf::from(v)));
+    flags.finish();
+    let dir = dir.unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("noclat-chaos-{}", std::process::id()))
+    });
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("error: cannot create {}: {e}", dir.display());
         ExitCode::Generic.exit();
@@ -86,11 +72,7 @@ fn main() {
             ok &= scenario_timeout(&dir);
             ok
         }
-        other => {
-            eprintln!("error: unknown scenario {other}");
-            eprintln!("usage: {USAGE}");
-            ExitCode::Config.exit();
-        }
+        other => fail_usage(&format!("unknown scenario {other}"), USAGE),
     };
     if ok {
         println!("chaos: all scenario checks passed");
@@ -100,10 +82,6 @@ fn main() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The victim: a small real sweep through the standard harness path
-// ---------------------------------------------------------------------------
-
 /// Hidden subcommand run in a child process: a `GRID_CELLS`-cell simulation
 /// grid through `SweepArgs`/`run_grid`, writing the standard JSON report.
 ///
@@ -111,34 +89,12 @@ fn main() {
 /// instead of simulating; with `--chaos-sleep-once` it only blocks on
 /// attempt 0, modelling a transient hang that a retry clears.
 fn worker(argv: &[String]) {
-    let mut filtered = Vec::new();
-    let mut sleep_cell: Option<u64> = None;
-    let mut sleep_once = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--chaos-sleep-cell" => {
-                sleep_cell = Some(argv[i + 1].parse().expect("--chaos-sleep-cell: bad index"));
-                i += 2;
-            }
-            "--chaos-sleep-once" => {
-                sleep_once = true;
-                i += 1;
-            }
-            other => {
-                filtered.push(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    let (args, rest) = SweepArgs::parse_argv(&filtered).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        ExitCode::Config.exit();
-    });
-    if let Some(unknown) = rest.first() {
-        eprintln!("error: unknown argument {unknown}");
-        ExitCode::Config.exit();
-    }
+    let (args, mut rest) = SweepArgs::parse_or_exit(argv, USAGE);
+    let sleep_once = rest.iter().any(|a| a == "--chaos-sleep-once");
+    rest.retain(|a| a != "--chaos-sleep-once");
+    let mut flags = RestFlags::new(&rest, USAGE);
+    let sleep_cell: Option<u64> = flags.take("--chaos-sleep-cell", str::parse);
+    flags.finish();
 
     let lengths = RunLengths {
         warmup: 200,
@@ -185,38 +141,22 @@ fn worker(argv: &[String]) {
     sweep::finish(&args, &json);
 }
 
-// ---------------------------------------------------------------------------
-// Orchestration helpers
-// ---------------------------------------------------------------------------
-
-fn self_command() -> Command {
-    Command::new(std::env::current_exe().expect("own binary path"))
-}
-
-fn worker_args(json: &Path, journal: Option<&Path>, extra: &[&str]) -> Vec<String> {
-    let mut v = vec![
-        "worker".to_string(),
-        "--jobs".to_string(),
-        "1".to_string(),
-        "--json".to_string(),
-        json.display().to_string(),
-    ];
-    if let Some(j) = journal {
-        v.push("--resume".to_string());
-        v.push(j.display().to_string());
+/// This binary as a single-worker victim writing its report to `json`,
+/// journaling to `journal` if given, stdout discarded.
+fn worker_command(json: &Path, journal: Option<&Path>, extra: &[&str]) -> Command {
+    let mut cmd = Command::new(std::env::current_exe().expect("own binary path"));
+    cmd.args(["worker", "--jobs", "1", "--json"]).arg(json);
+    if let Some(journal) = journal {
+        cmd.arg("--resume").arg(journal);
     }
-    v.extend(extra.iter().map(ToString::to_string));
-    v
+    cmd.args(extra).stdout(Stdio::null());
+    cmd
 }
 
 /// Runs a worker to completion, returning its exit code.
 fn run_worker(json: &Path, journal: Option<&Path>, extra: &[&str]) -> i32 {
-    let status = self_command()
-        .args(worker_args(json, journal, extra))
-        .stdout(Stdio::null())
-        .status()
-        .expect("spawn worker");
-    status.code().unwrap_or(-1)
+    let status = worker_command(json, journal, extra).status();
+    status.expect("spawn worker").code().unwrap_or(-1)
 }
 
 /// Golden output: an uninterrupted, unjournaled run.
@@ -242,9 +182,18 @@ fn check(label: &str, ok: bool, detail: &str) -> bool {
     ok
 }
 
-// ---------------------------------------------------------------------------
-// Scenarios
-// ---------------------------------------------------------------------------
+/// A worker run that must succeed and reproduce the golden report `gold`
+/// (checks `<stage>-exit` and `<stage>-byte-identical`).
+fn converges(stage: &str, json: &Path, journal: Option<&Path>, extra: &[&str], gold: &str) -> bool {
+    let code = run_worker(json, journal, extra);
+    let ok = check(&format!("{stage}-exit"), code == 0, &format!("exit {code}"));
+    let report = std::fs::read_to_string(json).unwrap_or_default();
+    ok & check(
+        &format!("{stage}-byte-identical"),
+        report == gold,
+        "JSON differs from the uninterrupted golden run",
+    )
+}
 
 /// SIGKILL the sweep once it has journaled some (but not all) cells, then
 /// resume and require byte-identical output.
@@ -255,9 +204,7 @@ fn scenario_kill(dir: &Path) -> bool {
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&json);
 
-    let mut child = self_command()
-        .args(worker_args(&json, Some(&journal), &[]))
-        .stdout(Stdio::null())
+    let mut child = worker_command(&json, Some(&journal), &[])
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn victim");
@@ -298,15 +245,7 @@ fn scenario_kill(dir: &Path) -> bool {
         !json.exists(),
         "victim wrote its report despite being killed",
     );
-    let code = run_worker(&json, Some(&journal), &[]);
-    ok &= check("kill/resume-exit", code == 0, &format!("exit {code}"));
-    let resumed = std::fs::read_to_string(&json).unwrap_or_default();
-    ok &= check(
-        "kill/byte-identical",
-        resumed == gold,
-        "resumed JSON differs from the uninterrupted golden run",
-    );
-    ok
+    ok & converges("kill/resume", &json, Some(&journal), &[], &gold)
 }
 
 /// Damage the journal tail (truncate mid-record or flip a byte), then
@@ -335,18 +274,7 @@ fn scenario_damage(dir: &Path, kind: &str) -> bool {
     std::fs::write(&journal, &bytes).expect("write damaged journal");
     let _ = std::fs::remove_file(&json);
 
-    let code = run_worker(&json, Some(&journal), &[]);
-    ok &= check(
-        &format!("{kind}/resume-exit"),
-        code == 0,
-        &format!("exit {code}"),
-    );
-    let resumed = std::fs::read_to_string(&json).unwrap_or_default();
-    ok &= check(
-        &format!("{kind}/byte-identical"),
-        resumed == gold,
-        "resumed JSON differs from the uninterrupted golden run",
-    );
+    ok &= converges(&format!("{kind}/resume"), &json, Some(&journal), &[], &gold);
     // Recovery must have recomputed the damaged cell: the journal is whole
     // again and reusable.
     ok &= check(
@@ -383,25 +311,8 @@ fn scenario_timeout(dir: &Path) -> bool {
     );
 
     // Transient hang (attempt 0 only) + one retry: full recovery.
-    let code = run_worker(
-        &json,
-        None,
-        &[
-            "--job-timeout",
-            "5",
-            "--retries",
-            "1",
-            "--chaos-sleep-cell",
-            "3",
-            "--chaos-sleep-once",
-        ],
-    );
-    ok &= check("timeout/retry-exit", code == 0, &format!("exit {code}"));
-    let retried = std::fs::read_to_string(&json).unwrap_or_default();
-    ok &= check(
-        "timeout/retry-byte-identical",
-        retried == gold,
-        "retried JSON differs from the uninterrupted golden run",
-    );
+    let hang_once = "--job-timeout 5 --retries 1 --chaos-sleep-cell 3 --chaos-sleep-once";
+    let hang_once: Vec<&str> = hang_once.split(' ').collect();
+    ok &= converges("timeout/retry", &json, None, &hang_once, &gold);
     ok
 }

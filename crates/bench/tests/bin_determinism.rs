@@ -1,8 +1,15 @@
-//! End-to-end `--jobs` equivalence of a real harness binary: fig09 (the
+//! End-to-end `--jobs` equivalence of a real harness: `repro fig09` (the
 //! sharded distribution figure) must print and serialize byte-identical
 //! reports whether its shards run serially or on four workers.
 
 use std::process::Command;
+
+/// `repro <id>`, ready for its flags.
+fn repro(id: &str) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.arg(id);
+    cmd
+}
 
 #[test]
 fn fig09_reports_are_byte_identical_across_jobs() {
@@ -11,7 +18,7 @@ fn fig09_reports_are_byte_identical_across_jobs() {
     let mut outputs = Vec::new();
     for jobs in ["1", "4"] {
         let json = dir.join(format!("fig09-{jobs}.json"));
-        let out = Command::new(env!("CARGO_BIN_EXE_fig09"))
+        let out = repro("fig09")
             .args([
                 "--warmup",
                 "200",
@@ -48,15 +55,12 @@ fn fig09_reports_are_byte_identical_across_jobs() {
 /// CI scripts fail fast on typos) and honors `--help` with status 0.
 #[test]
 fn fig09_rejects_unknown_flags() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig09"))
+    let out = repro("fig09")
         .arg("--frobnicate")
         .output()
         .expect("fig09 spawns");
     assert_eq!(out.status.code(), Some(2));
-    let help = Command::new(env!("CARGO_BIN_EXE_fig09"))
-        .arg("--help")
-        .output()
-        .expect("fig09 spawns");
+    let help = repro("fig09").arg("--help").output().expect("fig09 spawns");
     assert_eq!(help.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&help.stderr).contains("--jobs"));
 }
@@ -67,14 +71,14 @@ fn fig09_rejects_unknown_flags() {
 /// override meets a concrete configuration).
 #[test]
 fn simulate_rejects_invalid_topology_specs_as_usage_errors() {
-    let bad_fabric = Command::new(env!("CARGO_BIN_EXE_simulate"))
+    let bad_fabric = repro("simulate")
         .args(["--topology", "bogus", "--measure", "100"])
         .output()
         .expect("simulate spawns");
     assert_eq!(bad_fabric.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_fabric.stderr).contains("unknown fabric"));
 
-    let bad_concentration = Command::new(env!("CARGO_BIN_EXE_simulate"))
+    let bad_concentration = repro("simulate")
         .args(["--topology", "cmesh:c=3", "--measure", "100"])
         .output()
         .expect("simulate spawns");

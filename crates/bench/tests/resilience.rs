@@ -531,10 +531,10 @@ fn prune_spec_parses_and_round_trips() {
 /// report.
 #[test]
 fn pruning_everything_exits_with_the_dedicated_code() {
-    let exe = env!("CARGO_BIN_EXE_topo_sweep");
     // A mesh-only grid has no golden cells, so top=0 prunes everything.
-    let out = std::process::Command::new(exe)
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
+            "topo_sweep",
             "--prune",
             "analytic:top=0",
             "--fabrics",

@@ -111,7 +111,7 @@ impl std::fmt::Display for PruneSpec {
     }
 }
 
-/// Flags accepted by [`SweepArgs::parse`], for inclusion in usage strings.
+/// Flags accepted by [`SweepArgs::parse_argv`], for inclusion in usage strings.
 pub const SWEEP_USAGE: &str = "[--jobs N] [--json PATH] [--seed N] [--warmup N] [--measure N] \
      [--policy req=NAME,resp=NAME,arb=NAME] [--kernel cycle|event] \
      [--topology mesh|torus|cmesh|express[:c=N,skip=N,mc=corner|edge|center]] \
@@ -137,36 +137,19 @@ impl SweepArgs {
         }
     }
 
-    /// Parses `std::env::args`, accepting only the shared sweep flags.
-    ///
-    /// Exits with status 2 (printing `usage`) on an unknown argument, and
-    /// with status 0 on `--help`.
+    /// Parses `argv` (see [`SweepArgs::process_argv`]), returning the
+    /// arguments the shared set does not know for the harness to interpret
+    /// with [`RestFlags`]. Prints `usage` and exits on `--help` (status 0)
+    /// and on a bad shared flag ([`ExitCode::Config`]).
     #[must_use]
-    pub fn parse(usage: &str) -> SweepArgs {
-        let (args, rest) = Self::parse_with_rest(usage);
-        if let Some(unknown) = rest.first() {
-            eprintln!("error: unknown argument {unknown}");
-            eprintln!("usage: {usage}");
-            std::process::exit(2);
-        }
-        args
-    }
-
-    /// Parses `std::env::args`, returning unrecognized arguments for the
-    /// binary to interpret (used by `faultsim`/`simulate`, which add their
-    /// own flags on top of the shared set).
-    #[must_use]
-    pub fn parse_with_rest(usage: &str) -> (SweepArgs, Vec<String>) {
-        match Self::parse_argv(&Self::process_argv()) {
+    pub fn parse_or_exit(argv: &[String], usage: &str) -> (SweepArgs, Vec<String>) {
+        match Self::parse_argv(argv) {
             Ok(pair) => pair,
-            Err(e) => {
-                let help = e == "help";
-                if !help {
-                    eprintln!("error: {e}");
-                }
+            Err(e) if e == "help" => {
                 eprintln!("usage: {usage}");
-                std::process::exit(if help { 0 } else { 2 });
+                ExitCode::Success.exit()
             }
+            Err(e) => fail_usage(&e, usage),
         }
     }
 
@@ -314,6 +297,70 @@ impl SweepArgs {
             timeout: self.job_timeout,
             retries: self.retries,
             ..RetryPolicy::default()
+        }
+    }
+}
+
+/// Reports bad usage the way every sweep binary does — `error: <msg>`, then
+/// the usage line, on stderr — and exits with [`ExitCode::Config`].
+pub fn fail_usage(msg: &str, usage: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: {usage}");
+    ExitCode::Config.exit()
+}
+
+/// The `--flag VALUE` pairs a harness accepts beyond the shared set: what
+/// [`SweepArgs::parse_argv`] left over, consumed one [`RestFlags::take`]
+/// per flag and closed with [`RestFlags::finish`]. Every error names its
+/// flag and exits through [`fail_usage`].
+#[derive(Debug)]
+pub struct RestFlags<'a> {
+    rest: Vec<&'a str>,
+    usage: &'a str,
+}
+
+impl<'a> RestFlags<'a> {
+    /// Starts consuming `rest`; `usage` is printed with any error.
+    #[must_use]
+    pub fn new(rest: &'a [String], usage: &'a str) -> Self {
+        RestFlags {
+            rest: rest.iter().map(String::as_str).collect(),
+            usage,
+        }
+    }
+
+    /// Removes every `flag VALUE` pair and returns the last value (later
+    /// occurrences win, as for the shared flags).
+    fn value(&mut self, flag: &str) -> Option<&'a str> {
+        let mut last = None;
+        while let Some(at) = self.rest.iter().position(|a| *a == flag) {
+            if at + 1 == self.rest.len() {
+                fail_usage(&format!("{flag} needs a value"), self.usage);
+            }
+            last = Some(self.rest.remove(at + 1));
+            self.rest.remove(at);
+        }
+        last
+    }
+
+    /// The parsed value of `flag`, `None` if it was not given; a value
+    /// `parse` rejects is reported as `<flag>: <its error>`.
+    pub fn take<T, E: std::fmt::Display>(
+        &mut self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, E>,
+    ) -> Option<T> {
+        let value = self.value(flag)?;
+        match parse(value) {
+            Ok(parsed) => Some(parsed),
+            Err(e) => fail_usage(&format!("{flag}: {e}"), self.usage),
+        }
+    }
+
+    /// Rejects whatever no `take` claimed.
+    pub fn finish(self) {
+        if let Some(unknown) = self.rest.first() {
+            fail_usage(&format!("unknown argument {unknown}"), self.usage);
         }
     }
 }
@@ -471,6 +518,29 @@ mod tests {
         assert!(SweepArgs::parse_argv(&argv(&["--job-timeout", "-1"])).is_err());
         assert!(SweepArgs::parse_argv(&argv(&["--job-timeout", "inf"])).is_err());
         assert!(SweepArgs::parse_argv(&argv(&["--retries", "-1"])).is_err());
+    }
+
+    /// The accepting half of [`RestFlags`] (the rejecting half exits the
+    /// process; `crates/bench/tests/figure_goldens.rs` drives it there).
+    #[test]
+    fn rest_flags_take_the_last_value_and_leave_nothing_behind() {
+        let (_, rest) = SweepArgs::parse_argv(&argv(&[
+            "--workload",
+            "3",
+            "--jobs",
+            "2",
+            "--sched",
+            "fcfs",
+            "--workload",
+            "7",
+        ]))
+        .unwrap();
+        let mut flags = RestFlags::new(&rest, "usage");
+        assert_eq!(flags.take("--workload", str::parse::<usize>), Some(7));
+        assert_eq!(flags.take("--cores", str::parse::<usize>), None);
+        let sched = flags.take("--sched", |s| Ok::<_, String>(s.to_string()));
+        assert_eq!(sched.as_deref(), Some("fcfs"));
+        flags.finish();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! construction. The harness owns the labels: they are journal addresses.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use noclat::{
     alone_config, alone_ipc, run_mix, weighted_speedup_of, MixResult, RunLengths, SimError,
@@ -161,7 +161,9 @@ pub fn try_run_grid<T: Send + CellCodec>(
     let observer = |pi: usize, r: &Result<T, SimError>| {
         if let Ok(v) = r {
             let payload = v.encode_cell().to_compact_string();
-            let mut cache = cache.lock().expect("journal lock");
+            // An insert leaves the cache valid wherever it stops, so a
+            // poisoned lock is recovered rather than failing every later cell.
+            let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
             if let Err(e) = cache.insert(keys[indices[pi]], &payload) {
                 // Losing durability degrades resume, not this run's results.
                 eprintln!("warning: {e}");

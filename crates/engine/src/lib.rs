@@ -4,7 +4,8 @@
 //! binaries so other frontends (the `sweepd` daemon, future drivers) can
 //! run the same grids with the same guarantees:
 //!
-//! * [`SweepArgs`]/[`PruneSpec`] — the shared command-line surface and the
+//! * [`SweepArgs`]/[`RestFlags`]/[`PruneSpec`] — the shared command-line
+//!   surface, a harness's own flags on top of it, and the
 //!   [`sweep_fingerprint`]/[`job_key`] content addressing;
 //! * [`run_grid`]/[`try_run_grid`] — deterministic parallel grid execution
 //!   over [`noclat_sim::pool`], with journal resume;
@@ -38,7 +39,10 @@ pub mod json;
 pub mod report;
 pub mod server;
 
-pub use args::{job_key, sweep_fingerprint, PruneSpec, SweepArgs, DEFAULT_SHARDS, SWEEP_USAGE};
+pub use args::{
+    fail_usage, job_key, sweep_fingerprint, PruneSpec, RestFlags, SweepArgs, DEFAULT_SHARDS,
+    SWEEP_USAGE,
+};
 pub use cache::{read_snapshot, sweepd_cache_fingerprint, CacheError, ResultCache};
 pub use codec::CellCodec;
 pub use exit::ExitCode;

@@ -32,7 +32,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
@@ -164,6 +164,13 @@ enum AttemptOutcome<T> {
     Panicked(String),
 }
 
+/// Every critical section below is a single store or take, so the data
+/// behind a poisoned pool lock is still valid: recover it rather than let
+/// one panic cascade through the workers and the supervisor.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Extracts a printable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -217,6 +224,7 @@ pub fn run_jobs_supervised<T: Send>(
     let next = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
     let all_done = AtomicBool::new(false);
+    let observer_failed = AtomicBool::new(false);
     let tasks: Vec<Mutex<Option<Job<T>>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let slots: Vec<Mutex<Option<Result<T, SimError>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // One entry per worker: the start instant and token of the attempt it is
@@ -235,7 +243,7 @@ pub fn run_jobs_supervised<T: Send>(
                 while !all_done.load(Ordering::Acquire) {
                     std::thread::sleep(poll);
                     for entry in running {
-                        if let Some((start, token)) = &*entry.lock().expect("supervisor table") {
+                        if let Some((start, token)) = &*lock(entry) {
                             if start.elapsed() >= timeout {
                                 token.cancel();
                             }
@@ -251,21 +259,35 @@ pub fn run_jobs_supervised<T: Send>(
             let next = &next;
             let completed = &completed;
             let all_done = &all_done;
+            let observer_failed = &observer_failed;
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let job = tasks[i]
-                    .lock()
-                    .expect("task slot poisoned")
+                let job = lock(&tasks[i])
                     .take()
                     .expect("each job is claimed exactly once");
                 let outcome = run_with_retries(&job, i, policy, my_running);
+                // Store first, then observe, and contain the observer: the
+                // result and `all_done` must never depend on a callback (a
+                // worker dying here would leave its slot empty and the
+                // supervisor polling forever).
+                let mut slot = lock(&slots[i]);
+                let outcome = slot.insert(outcome);
                 if let Some(observer) = on_result {
-                    observer(i, &outcome);
+                    let observed = catch_unwind(AssertUnwindSafe(|| observer(i, outcome)));
+                    if let Err(payload) = observed {
+                        if !observer_failed.swap(true, Ordering::Relaxed) {
+                            eprintln!(
+                                "warning: result observer panicked ({}); results are \
+                                 unaffected, later cells may not be journaled",
+                                panic_message(payload.as_ref())
+                            );
+                        }
+                    }
                 }
-                *slots[i].lock().expect("result slot poisoned") = Some(outcome);
+                drop(slot);
                 if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
                     all_done.store(true, Ordering::Release);
                 }
@@ -277,7 +299,7 @@ pub fn run_jobs_supervised<T: Send>(
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("result slot poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("every claimed job stores a result")
         })
         .collect()
@@ -333,13 +355,13 @@ fn run_one_attempt<T>(
         cancel: token.clone(),
         attempt,
     };
-    *running.lock().expect("supervisor table") = Some((Instant::now(), token.clone()));
+    *lock(running) = Some((Instant::now(), token.clone()));
     // Install the token as the thread's current one so simulations built
     // inside the job inherit it without explicit plumbing.
     let guard = token.install_current();
     let result = catch_unwind(AssertUnwindSafe(|| (job.run)(&ctx)));
     drop(guard);
-    *running.lock().expect("supervisor table") = None;
+    *lock(running) = None;
     // Timeout classification wins over panics: once the supervisor fired
     // the token, the attempt is over-deadline no matter how the cancelled
     // code wound down, and a discarded partial value is never a success.
@@ -606,6 +628,34 @@ mod tests {
         for (i, r) in seen {
             assert_eq!(r, out[i]);
         }
+    }
+
+    /// A panicking observer (a poisoned journal lock, say) costs durability,
+    /// never results — and under a deadline policy it must not hang the
+    /// grid (worker dead, slot empty, supervisor polling forever).
+    #[test]
+    fn panicking_observer_loses_no_result_and_does_not_hang_the_supervisor() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let policy = RetryPolicy {
+                timeout: Some(Duration::from_secs(5)),
+                ..RetryPolicy::default()
+            };
+            let jobs: Vec<Job<usize>> = (0..6)
+                .map(|i| Job::new(format!("cell-{i}"), move || i))
+                .collect();
+            let journal = Mutex::new(());
+            let observer = |_: usize, _: &Result<usize, SimError>| {
+                let _guard = journal.lock().expect("journal lock");
+                panic!("observer failure");
+            };
+            let out = run_jobs_supervised(2, jobs, &policy, Some(&observer));
+            let _ = done.send(out);
+        });
+        let out = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the grid returns well inside its deadline");
+        assert_eq!(out, (0..6).map(Ok).collect::<Vec<_>>());
     }
 
     #[test]
