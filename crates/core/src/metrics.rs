@@ -37,17 +37,26 @@ impl TxnTimes {
         self.done.saturating_sub(self.issued)
     }
 
+    /// The six stamps in path order, `issued` first. A complete off-chip
+    /// access has them non-decreasing.
+    #[must_use]
+    pub fn stamps(&self) -> [Cycle; 6] {
+        [
+            self.issued,
+            self.at_l2,
+            self.at_mc,
+            self.mc_done,
+            self.back_at_l2,
+            self.done,
+        ]
+    }
+
     /// The five path segments, in Figure-2 order:
     /// `[L1→L2, L2→Mem, Mem, Mem→L2, L2→L1]`.
     #[must_use]
     pub fn segments(&self) -> [Cycle; 5] {
-        [
-            self.at_l2.saturating_sub(self.issued),
-            self.at_mc.saturating_sub(self.at_l2),
-            self.mc_done.saturating_sub(self.at_mc),
-            self.back_at_l2.saturating_sub(self.mc_done),
-            self.done.saturating_sub(self.back_at_l2),
-        ]
+        let at = self.stamps();
+        std::array::from_fn(|leg| at[leg + 1].saturating_sub(at[leg]))
     }
 }
 

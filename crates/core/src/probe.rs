@@ -2,19 +2,24 @@
 //!
 //! A [`Probe`] sees the three events the policy layer decides on: a flit
 //! leaving a router output port, a memory controller dequeuing a completed
-//! DRAM access, and a core retiring an off-chip miss. Probes are strictly
+//! DRAM access, and a core retiring a miss. Probes are strictly
 //! observers — they cannot change priorities or timing — which makes them
 //! safe to attach to a golden-verified configuration.
 //!
+//! [`Retire`] is also the system's own record of a finished access: the
+//! latency tracker, the slowest-transaction log and the response policy's
+//! round-trip feedback read the same value the probes are handed.
+//!
 //! When no probe is attached the system ticks the network through the
-//! plain monomorphized path (`Network::tick`), so the observer plumbing
-//! compiles to exactly the pre-probe code: zero cost unless used.
+//! plain monomorphized path (`Network::tick`): zero cost unless used.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use noclat_noc::{Hop, Priority};
 use noclat_sim::Cycle;
+
+use crate::metrics::TxnTimes;
 
 /// A memory controller handing a completed DRAM access back to the network.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +38,7 @@ pub struct McDequeue {
     pub cycle: Cycle,
 }
 
-/// A core completing an off-chip memory access.
+/// A core completing a memory access that missed in its L1.
 #[derive(Debug, Clone, Copy)]
 pub struct Retire {
     /// Core that issued the access.
@@ -48,6 +53,18 @@ pub struct Retire {
     pub total_latency: Cycle,
     /// Current cycle.
     pub cycle: Cycle,
+    /// Arrival stamps of the five legs of Figure 2. All six are meaningful
+    /// for an off-chip, non-merged access; a leg the access never travelled
+    /// (L2 hit, or merged into another miss at the L2) keeps the `issued`
+    /// stamp.
+    pub times: TxnTimes,
+    /// Whether the data came back at high priority (a late response
+    /// expedited by the response policy).
+    pub expedited: bool,
+    /// The so-far delay the core reads from the returning message's age
+    /// field, saturated at the field's width — the round-trip sample
+    /// Scheme-1 averages into `Delay_avg`.
+    pub age: u32,
 }
 
 /// Observer interface over the prioritization decision points. All methods
@@ -186,6 +203,9 @@ mod tests {
             merged: false,
             total_latency: 310,
             cycle: 200,
+            times: TxnTimes::default(),
+            expedited: true,
+            age: 310,
         });
         probe.on_retire(&Retire {
             core: 6,
@@ -194,6 +214,9 @@ mod tests {
             merged: false,
             total_latency: 25,
             cycle: 201,
+            times: TxnTimes::default(),
+            expedited: false,
+            age: 25,
         });
         assert_eq!(counters.snapshot(), [2, 1, 1, 1, 2, 1]);
     }
@@ -226,6 +249,9 @@ mod tests {
             merged: false,
             total_latency: 0,
             cycle: 0,
+            times: TxnTimes::default(),
+            expedited: false,
+            age: 0,
         });
     }
 }

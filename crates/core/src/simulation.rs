@@ -283,15 +283,38 @@ mod tests {
         assert_eq!(err, SimError::MissingWorkload);
     }
 
+    /// Every row type-checks, and every row must come back from `build()`
+    /// as a typed error that says what is wrong — not as a panic out of a
+    /// component constructor.
     #[test]
     fn build_rejects_invalid_configurations() {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.noc.buffer_depth = 0;
-        let err = Simulation::builder(cfg)
-            .workload(&apps())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SimError::Config(_)), "got {err:?}");
+        type Corrupt = fn(&mut SystemConfig);
+        let table: [(&str, Corrupt); 6] = [
+            ("buffer depth is zero", |c| c.noc.buffer_depth = 0),
+            ("mem.banks_per_controller = 0", |c| {
+                c.mem.banks_per_controller = 0;
+            }),
+            ("mem.row_bytes = 100", |c| c.mem.row_bytes = 100),
+            ("noc.flit_bits = 0", |c| c.noc.flit_bits = 0),
+            ("noc.age_bits = 32", |c| c.noc.age_bits = 32),
+            ("idleness_sample_period = 0", |c| {
+                c.idleness_sample_period = 0;
+            }),
+        ];
+        for (says, corrupt) in table {
+            let mut cfg = SystemConfig::baseline_32();
+            corrupt(&mut cfg);
+            let built = std::panic::catch_unwind(move || {
+                Simulation::builder(cfg).workload(&apps()).build().err()
+            });
+            match built {
+                Ok(Some(SimError::Config(e))) => {
+                    assert!(e.to_string().contains(says), "{says}: got \"{e}\"");
+                }
+                Ok(other) => panic!("{says}: expected a ConfigError, got {other:?}"),
+                Err(_) => panic!("{says}: build() panicked"),
+            }
+        }
     }
 
     #[test]

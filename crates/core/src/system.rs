@@ -17,14 +17,14 @@
 //! perturbing the simulation.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 use noclat_cache::{L1Access, L1Cache, L2Access, L2Bank, MshrFile, SnucaMap};
 use noclat_cpu::{InstrStream, MemAccess, MemToken, MemoryPort, OooCore};
 use noclat_mem::{AddressMap, IdlenessMonitor, MemoryController};
 use noclat_noc::{
     accumulate_age, flits_for_payload, Delivered, Network, NodeId, Priority, RouterCounters,
-    Topology, VNet,
+    Topology,
 };
 use noclat_sim::cancel::CancelToken;
 use noclat_sim::config::{KernelKind, SystemConfig};
@@ -51,19 +51,31 @@ const RETRY_BACKOFF_BASE: Cycle = 64;
 /// transactions.
 const TIMEOUT_SCAN_PERIOD: Cycle = 512;
 
-/// In-flight transaction state (one per L1 miss).
+/// Delay before re-injecting a packet dropped for the `attempt`-th time.
+fn retry_backoff(attempt: u32) -> Cycle {
+    RETRY_BACKOFF_BASE << (attempt - 1).min(16)
+}
+
+/// Everything the system knows about one in-flight L1 miss: the single
+/// record every leg of Figure 2 stamps, from issue to retirement.
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     core: usize,
     line: u64,
-    issued: Cycle,
-    at_l2: Cycle,
-    at_mc: Cycle,
-    mc_done: Cycle,
-    back_at_l2: Cycle,
+    /// Leg-arrival stamps, written in place as each leg lands (`done` at
+    /// retirement).
+    times: TxnTimes,
     /// Last cycle this transaction made observable progress (a leg arrived
     /// or a retry was scheduled); drives the timeout backstop.
     touched: Cycle,
+    /// So-far delay the `MemReq` carried into its controller; the DRAM
+    /// completion adds the controller delay to it.
+    age_at_mc: u32,
+    /// Packets of this transaction dropped so far. The retry budget is
+    /// cumulative over the transaction's legs.
+    drops: u32,
+    /// Already counted by the timeout backstop.
+    timed_out: bool,
     /// The access missed in L2 and went to memory.
     offchip: bool,
     /// The access merged into another transaction's L2 MSHR entry.
@@ -89,24 +101,14 @@ pub struct RobustnessStats {
     pub violations: u64,
 }
 
-/// Identity of a droppable message for retry accounting: transactions
-/// retry per transaction, writebacks per line, threshold updates per core.
+/// Identity, for retry accounting, of a droppable message that belongs to
+/// no transaction (a transaction's legs count in `Txn::drops`): writebacks
+/// per line, threshold updates per core and controller node. An entry lives
+/// from the message's first drop until its delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RetryKey {
-    Txn(TxnId),
     Line(u64),
-    Threshold(usize),
-}
-
-fn retry_key(msg: &MemMsg) -> RetryKey {
-    match *msg {
-        MemMsg::L2Req { txn, .. }
-        | MemMsg::MemReq { txn, .. }
-        | MemMsg::MemResp { txn, .. }
-        | MemMsg::L2Resp { txn, .. } => RetryKey::Txn(txn),
-        MemMsg::L1Writeback { line } | MemMsg::MemWriteback { line } => RetryKey::Line(line),
-        MemMsg::ThresholdUpdate { core, .. } => RetryKey::Threshold(core),
-    }
+    Threshold(usize, usize),
 }
 
 /// Deferred work modeling cache-bank access latencies.
@@ -117,30 +119,28 @@ enum Action {
     /// Apply an L1 writeback at the L2 bank.
     L2Writeback { node: usize, line: u64 },
     /// A memory response finished its L2-side handling; wake L2 waiters.
-    L2Fill {
-        node: usize,
-        txn: TxnId,
-        line: u64,
-        age: u32,
-        high: bool,
-    },
+    L2Fill(Fill),
     /// Re-inject a dropped packet after its backoff delay.
     Reinject {
         src: usize,
         dest: usize,
-        vnet: VNet,
         priority: Priority,
-        flits: u8,
         msg: MemMsg,
     },
     /// A data response reached the core tile; fill L1 and wake the core.
-    CoreFill {
-        core: usize,
-        txn: TxnId,
-        line: u64,
-        age: u32,
-        high: bool,
-    },
+    CoreFill(Fill),
+}
+
+/// A data response (`MemResp` or `L2Resp`) as it arrived at tile `node`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fill {
+    node: usize,
+    txn: TxnId,
+    line: u64,
+    /// So-far delay on arrival.
+    age: u32,
+    /// The priority it travelled at; the next leg inherits it.
+    priority: Priority,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,23 +167,7 @@ impl PartialOrd for WorkItem {
 struct McNode {
     node: usize,
     ctrl: MemoryController,
-    pending: HashMap<TxnId, McPending>,
     monitor: IdlenessMonitor,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct McPending {
-    age_at_arrival: u32,
-    l2_bank: usize,
-    core: usize,
-    line: u64,
-}
-
-/// Messages a core tile emits during one core tick.
-#[derive(Debug, Clone, Copy)]
-enum PortMsg {
-    L2Req { txn: TxnId, line: u64 },
-    L1Writeback { line: u64 },
 }
 
 /// The memory hierarchy as seen by one core during its tick.
@@ -193,7 +177,7 @@ struct TilePort<'a> {
     mshr: &'a mut MshrFile<MemToken>,
     next_txn: &'a mut u64,
     txns: &'a mut HashMap<TxnId, Txn>,
-    out: &'a mut Vec<(usize, PortMsg)>,
+    out: &'a mut Vec<(usize, MemMsg)>,
     map: AddressMap,
     l1_latency: Cycle,
 }
@@ -216,7 +200,7 @@ impl MemoryPort for TilePort<'_> {
             L1Access::Miss { writeback } => {
                 if let Some(victim) = writeback {
                     self.out
-                        .push((self.core, PortMsg::L1Writeback { line: victim }));
+                        .push((self.core, MemMsg::L1Writeback { line: victim }));
                 }
                 let txn = *self.next_txn;
                 *self.next_txn += 1;
@@ -226,17 +210,23 @@ impl MemoryPort for TilePort<'_> {
                     Txn {
                         core: self.core,
                         line,
-                        issued: now,
-                        at_l2: now,
-                        at_mc: now,
-                        mc_done: now,
-                        back_at_l2: now,
+                        times: TxnTimes {
+                            issued: now,
+                            at_l2: now,
+                            at_mc: now,
+                            mc_done: now,
+                            back_at_l2: now,
+                            done: now,
+                        },
                         touched: now,
+                        age_at_mc: 0,
+                        drops: 0,
+                        timed_out: false,
                         offchip: false,
                         merged: false,
                     },
                 );
-                self.out.push((self.core, PortMsg::L2Req { txn, line }));
+                self.out.push((self.core, MemMsg::L2Req { txn, line }));
                 MemAccess::Pending {
                     token: MemToken(txn),
                 }
@@ -279,8 +269,9 @@ pub struct System {
     snuca: SnucaMap,
     data_flits: u8,
     watchdog: Watchdog,
+    /// Drop counts of in-flight transaction-less messages; empty on a
+    /// fault-free run.
     retry_attempts: HashMap<RetryKey, u32>,
-    timed_out: HashSet<TxnId>,
     robust: RobustnessStats,
     /// Cooperative cancellation flag, polled at loop boundaries by
     /// [`System::run`]. `None` when the run is unbounded (no deadline).
@@ -290,7 +281,7 @@ pub struct System {
     /// Per-step buffers of [`System::tick_cores`] and
     /// [`System::handle_deliveries`], empty between steps and kept for
     /// their capacity.
-    outbox: Vec<(usize, PortMsg)>,
+    outbox: Vec<(usize, MemMsg)>,
     mail: Vec<Delivered<MemMsg>>,
 }
 
@@ -357,7 +348,6 @@ impl System {
                 McNode {
                     node: node.index(),
                     ctrl: MemoryController::with_faults(cfg.mem, &cfg.faults, i),
-                    pending: HashMap::new(),
                     monitor: IdlenessMonitor::new(
                         cfg.mem.banks_per_controller,
                         cfg.idleness_sample_period,
@@ -419,7 +409,6 @@ impl System {
                 Cycle::from(cfg.watchdog.starvation_factor) * Cycle::from(basis)
             }),
             retry_attempts: HashMap::new(),
-            timed_out: HashSet::new(),
             robust: RobustnessStats::default(),
             cancel: None,
             interrupted: false,
@@ -843,16 +832,16 @@ impl System {
         }));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn inject(
+    /// The one way a message enters the network. Virtual network and
+    /// length come from the message itself ([`MemMsg::vnet`],
+    /// [`MemMsg::flits`]); the caller supplies only what varies per send.
+    fn send(
         &mut self,
         src: usize,
         dest: usize,
-        vnet: VNet,
-        priority: Priority,
-        flits: u8,
-        age: u32,
         msg: MemMsg,
+        priority: Priority,
+        age: u32,
         now: Cycle,
     ) {
         // The system only builds packets between nodes it owns, so a
@@ -861,9 +850,9 @@ impl System {
             .inject(
                 NodeId(src as u16),
                 NodeId(dest as u16),
-                vnet,
+                msg.vnet(),
                 priority,
-                flits,
+                msg.flits(self.data_flits),
                 age,
                 msg,
                 now,
@@ -876,45 +865,79 @@ impl System {
     /// recovery disabled the drops are only counted; the timeout backstop
     /// and watchdog surface the consequences.
     fn handle_drops(&mut self, now: Cycle) {
+        let max_retries = self.cfg.recovery.max_retries;
         for (meta, msg) in self.net.take_dropped() {
             if !self.cfg.recovery.enabled {
                 continue;
             }
-            let key = retry_key(&msg);
-            let attempts = self.retry_attempts.entry(key).or_insert(0);
-            *attempts += 1;
-            let attempt = *attempts;
-            if attempt > self.cfg.recovery.max_retries {
-                if let RetryKey::Txn(txn) = key {
-                    self.lose_txn(txn, now);
+            let (src, dest) = (meta.src.index(), meta.dest.index());
+            let attempt = match msg {
+                MemMsg::L2Req { txn, .. }
+                | MemMsg::MemReq { txn, .. }
+                | MemMsg::MemResp { txn, .. }
+                | MemMsg::L2Resp { txn, .. } => {
+                    // A leg of an abandoned transaction has nobody waiting.
+                    let Some(t) = self.txns.get_mut(&txn) else {
+                        continue;
+                    };
+                    t.drops += 1;
+                    if t.drops > max_retries {
+                        self.lose_txn(txn, now);
+                        continue;
+                    }
+                    t.touched = now + retry_backoff(t.drops);
+                    t.drops
                 }
+                MemMsg::L1Writeback { line } | MemMsg::MemWriteback { line } => {
+                    self.count_drop(RetryKey::Line(line))
+                }
+                MemMsg::ThresholdUpdate { core, .. } => {
+                    self.count_drop(RetryKey::Threshold(core, dest))
+                }
+            };
+            if attempt > max_retries {
                 continue;
             }
             self.robust.retries += 1;
-            let backoff = RETRY_BACKOFF_BASE << (attempt - 1).min(16);
-            if let RetryKey::Txn(txn) = key {
-                if let Some(t) = self.txns.get_mut(&txn) {
-                    t.touched = now + backoff;
-                }
-            }
             self.push_work(
-                now + backoff,
+                now + retry_backoff(attempt),
                 Action::Reinject {
-                    src: meta.src.index(),
-                    dest: meta.dest.index(),
-                    vnet: meta.vnet,
+                    src,
+                    dest,
                     priority: meta.priority,
-                    flits: meta.num_flits,
                     msg,
                 },
             );
         }
     }
 
+    /// Counts one more drop of the transaction-less message `key` names and
+    /// returns its attempt number. Exhausting the budget ends the entry, so
+    /// the next message of that line or core starts with its own budget.
+    fn count_drop(&mut self, key: RetryKey) -> u32 {
+        let attempts = self.retry_attempts.entry(key).or_insert(0);
+        *attempts += 1;
+        let attempt = *attempts;
+        if attempt > self.cfg.recovery.max_retries {
+            self.retry_attempts.remove(&key);
+        }
+        attempt
+    }
+
+    /// A transaction-less message arrived: its retry budget ends with it.
+    /// The table is empty unless something was dropped, so fault-free runs
+    /// never hash.
+    fn end_retry_budget(&mut self, key: RetryKey) {
+        if !self.retry_attempts.is_empty() {
+            self.retry_attempts.remove(&key);
+        }
+    }
+
     /// Abandons a transaction whose packets cannot be recovered: records a
-    /// [`LivenessViolation::Lost`], releases controller- and cache-side
-    /// bookkeeping, and wakes the cores waiting on it so the simulation
-    /// degrades instead of wedging.
+    /// [`LivenessViolation::Lost`], releases the cache-side bookkeeping, and
+    /// wakes the cores waiting on it so the simulation degrades instead of
+    /// wedging. Whatever of it is still queued in a controller or crossing
+    /// the network finds no record on arrival and is discarded there.
     fn lose_txn(&mut self, txn: TxnId, now: Cycle) {
         let Some(t) = self.txns.remove(&txn) else {
             return;
@@ -926,11 +949,6 @@ impl System {
             count: 1,
             snapshot,
         });
-        self.timed_out.remove(&txn);
-        self.retry_attempts.remove(&RetryKey::Txn(txn));
-        for mc in &mut self.mcs {
-            mc.pending.remove(&txn);
-        }
         // Release the L2 MSHR entry; merged waiters on the same line go
         // down with the primary (their fill will never arrive either).
         let bank = self.snuca.bank_of(t.line);
@@ -941,7 +959,6 @@ impl System {
                     continue;
                 }
                 if let Some(w) = self.txns.remove(&waiter) {
-                    self.timed_out.remove(&waiter);
                     casualties.push(w.core);
                 }
             }
@@ -1033,27 +1050,26 @@ impl System {
     fn timeout_scan(&mut self, now: Cycle) {
         let timeout = self.cfg.recovery.timeout;
         let give_up = timeout.saturating_mul(Cycle::from(self.cfg.recovery.max_retries) + 1);
-        let mut stuck: Vec<TxnId> = Vec::new();
         let mut lost: Vec<TxnId> = Vec::new();
-        for (&txn, t) in &self.txns {
+        for (&txn, t) in &mut self.txns {
             // Merged transactions ride on their primary's packets; the
             // primary's fate decides theirs.
             if t.merged {
                 continue;
             }
             let idle = now.saturating_sub(t.touched);
-            if idle > timeout {
-                stuck.push(txn);
+            if idle > timeout && !t.timed_out {
+                t.timed_out = true;
+                self.robust.timeouts += 1;
             }
             if idle > give_up {
                 lost.push(txn);
             }
         }
-        for txn in stuck {
-            if self.timed_out.insert(txn) {
-                self.robust.timeouts += 1;
-            }
-        }
+        // Each `Lost` record snapshots the table it leaves behind, so the
+        // order of abandonment is part of the run's output; the table's
+        // iteration order is not reproducible, ascending ids are.
+        lost.sort_unstable();
         for txn in lost {
             self.lose_txn(txn, now);
         }
@@ -1089,35 +1105,14 @@ impl System {
         }
         let l1_age = self.cfg.l1.latency as u32;
         for (core, msg) in outbox.drain(..) {
-            match msg {
-                PortMsg::L2Req { txn, line } => {
-                    let bank = self.snuca.bank_of(line);
-                    self.inject(
-                        core,
-                        bank,
-                        VNet::Request,
-                        Priority::Normal,
-                        1,
-                        l1_age,
-                        MemMsg::L2Req { txn, line },
-                        now,
-                    );
-                }
-                PortMsg::L1Writeback { line } => {
-                    let bank = self.snuca.bank_of(line);
-                    let flits = self.data_flits;
-                    self.inject(
-                        core,
-                        bank,
-                        VNet::Request,
-                        Priority::Normal,
-                        flits,
-                        0,
-                        MemMsg::L1Writeback { line },
-                        now,
-                    );
-                }
-            }
+            // A miss has already spent the L1 lookup; a victim has no age.
+            let (line, age) = match msg {
+                MemMsg::L2Req { line, .. } => (line, l1_age),
+                MemMsg::L1Writeback { line } => (line, 0),
+                _ => unreachable!("a core tile emits only misses and victims"),
+            };
+            let bank = self.snuca.bank_of(line);
+            self.send(core, bank, msg, Priority::Normal, age, now);
         }
         self.outbox = outbox;
     }
@@ -1130,20 +1125,11 @@ impl System {
         if updates.is_empty() {
             return;
         }
-        let mc_nodes: Vec<usize> = self.mcs.iter().map(|m| m.node).collect();
         for (core, threshold) in updates {
-            for &mc_node in &mc_nodes {
+            for m in 0..self.mcs.len() {
                 // Threshold updates are themselves prioritized (Section 3.1).
-                self.inject(
-                    core,
-                    mc_node,
-                    VNet::Request,
-                    Priority::High,
-                    1,
-                    0,
-                    MemMsg::ThresholdUpdate { core, threshold },
-                    now,
-                );
+                let msg = MemMsg::ThresholdUpdate { core, threshold };
+                self.send(core, self.mcs[m].node, msg, Priority::High, 0, now);
             }
         }
     }
@@ -1154,23 +1140,24 @@ impl System {
         let mut mail = std::mem::take(&mut self.mail);
         self.net.drain_delivered(&mut mail);
         for d in mail.drain(..) {
-            let node = d.meta.dest.index();
+            let (node, age, priority) = (d.meta.dest.index(), d.final_age, d.meta.priority);
+            let fill = |txn, line| Fill {
+                node,
+                txn,
+                line,
+                age,
+                priority,
+            };
             match d.payload {
                 MemMsg::L2Req { txn, .. } => {
                     if let Some(t) = self.txns.get_mut(&txn) {
-                        t.at_l2 = now;
+                        t.times.at_l2 = now;
                         t.touched = now;
                     }
-                    self.push_work(
-                        now + l2_latency,
-                        Action::L2Request {
-                            node,
-                            txn,
-                            age: d.final_age,
-                        },
-                    );
+                    self.push_work(now + l2_latency, Action::L2Request { node, txn, age });
                 }
                 MemMsg::L1Writeback { line } => {
+                    self.end_retry_budget(RetryKey::Line(line));
                     self.push_work(now + l2_latency, Action::L2Writeback { node, line });
                 }
                 MemMsg::MemReq { txn, line } => {
@@ -1182,28 +1169,20 @@ impl System {
                     let Some(t) = self.txns.get_mut(&txn) else {
                         continue;
                     };
-                    let core = t.core;
-                    t.at_mc = now;
+                    t.times.at_mc = now;
                     t.touched = now;
+                    t.age_at_mc = age;
                     let decoded = self.addr_map.decode(line);
                     debug_assert_eq!(decoded.controller, mc_idx, "MC interleaving mismatch");
-                    let mc = &mut self.mcs[mc_idx];
-                    mc.pending.insert(
-                        txn,
-                        McPending {
-                            age_at_arrival: d.final_age,
-                            l2_bank: d.meta.src.index(),
-                            core,
-                            line,
-                        },
-                    );
-                    mc.ctrl
+                    self.mcs[mc_idx]
+                        .ctrl
                         .enqueue(txn, decoded.bank, decoded.row, false, now)
                         .expect("decoded bank is in range");
                 }
                 MemMsg::MemWriteback { line } => {
                     let mc_idx = self.mc_at_node[node]
                         .expect("MemWriteback delivered to a non-controller node");
+                    self.end_retry_budget(RetryKey::Line(line));
                     let decoded = self.addr_map.decode(line);
                     self.next_wb_token += 1;
                     let token = WB_FLAG | self.next_wb_token;
@@ -1214,35 +1193,18 @@ impl System {
                 }
                 MemMsg::MemResp { txn, line } => {
                     if let Some(t) = self.txns.get_mut(&txn) {
-                        t.back_at_l2 = now;
+                        t.times.back_at_l2 = now;
                         t.touched = now;
                     }
-                    self.push_work(
-                        now + l2_latency,
-                        Action::L2Fill {
-                            node,
-                            txn,
-                            line,
-                            age: d.final_age,
-                            high: d.meta.priority == Priority::High,
-                        },
-                    );
+                    self.push_work(now + l2_latency, Action::L2Fill(fill(txn, line)));
                 }
                 MemMsg::L2Resp { txn, line } => {
-                    self.push_work(
-                        now + l1_latency,
-                        Action::CoreFill {
-                            core: node,
-                            txn,
-                            line,
-                            age: d.final_age,
-                            high: d.meta.priority == Priority::High,
-                        },
-                    );
+                    self.push_work(now + l1_latency, Action::CoreFill(fill(txn, line)));
                 }
                 MemMsg::ThresholdUpdate { core, threshold } => {
                     let mc_idx = self.mc_at_node[node]
                         .expect("ThresholdUpdate delivered to a non-controller node");
+                    self.end_retry_budget(RetryKey::Threshold(core, node));
                     self.resp_policy.install_threshold(mc_idx, core, threshold);
                 }
             }
@@ -1256,31 +1218,17 @@ impl System {
             match item.action {
                 Action::L2Request { node, txn, age } => self.l2_request(node, txn, age, now),
                 Action::L2Writeback { node, line } => self.l2_writeback(node, line, now),
-                Action::L2Fill {
-                    node,
-                    txn,
-                    line,
-                    age,
-                    high,
-                } => self.l2_fill(node, txn, line, age, high, now),
-                Action::CoreFill {
-                    core,
-                    txn,
-                    line,
-                    age,
-                    high,
-                } => self.core_fill(core, txn, line, age, high, now),
+                Action::L2Fill(fill) => self.l2_fill(fill, now),
+                Action::CoreFill(fill) => self.core_fill(fill, now),
                 Action::Reinject {
                     src,
                     dest,
-                    vnet,
                     priority,
-                    flits,
                     msg,
                 } => {
                     // Restart the age field: the paper's so-far delay rides
                     // in the dropped header and is gone with it.
-                    self.inject(src, dest, vnet, priority, flits, 0, msg, now);
+                    self.send(src, dest, msg, priority, 0, now);
                 }
             }
         }
@@ -1289,65 +1237,46 @@ impl System {
     fn l2_request(&mut self, node: usize, txn: TxnId, age: u32, now: Cycle) {
         // The transaction may have been abandoned while this request was
         // queued at the bank; there is nobody left to answer.
-        let Some(t) = self.txns.get(&txn) else {
+        let Some(t) = self.txns.get_mut(&txn) else {
             return;
         };
         let (line, core) = (t.line, t.core);
-        let l2_latency = self.cfg.l2.latency as u32;
+        let max_age = self.cfg.noc.max_age();
         // Merge with an in-flight fill before consulting the tag array (the
         // tag is already allocated while the fill is outstanding).
         if self.l2_mshrs[node].contains(line) {
             self.l2_mshrs[node].alloc(line, txn);
-            if let Some(t) = self.txns.get_mut(&txn) {
-                t.offchip = true;
-                t.merged = true;
-            }
+            t.offchip = true;
+            t.merged = true;
             return;
         }
         // No MSHR free: retry shortly (models bank-side back-pressure); the
         // wait is part of the access's so-far delay.
         if self.l2_mshrs[node].len() == self.l2_mshrs[node].capacity() {
-            let age = accumulate_age(age, MSHR_RETRY_DELAY, 1, self.cfg.noc.max_age());
+            let age = accumulate_age(age, MSHR_RETRY_DELAY, 1, max_age);
             self.push_work(now + MSHR_RETRY_DELAY, Action::L2Request { node, txn, age });
             return;
         }
+        // Either way the L2 lookup joins the access's so-far delay.
+        let out_age = accumulate_age(age, self.cfg.l2.latency, 1, max_age);
         match self.l2_banks[node].access(line, false) {
             L2Access::Hit => {
-                let flits = self.data_flits;
-                self.inject(
-                    node,
-                    core,
-                    VNet::Response,
-                    Priority::Normal,
-                    flits,
-                    accumulate_age(age, self.cfg.l2.latency, 1, self.cfg.noc.max_age()),
-                    MemMsg::L2Resp { txn, line },
-                    now,
-                );
+                let msg = MemMsg::L2Resp { txn, line };
+                self.send(node, core, msg, Priority::Normal, out_age, now);
             }
             L2Access::Miss { writeback } => {
+                t.offchip = true;
                 if let Some(victim) = writeback {
                     self.send_mem_writeback(node, victim, now);
                 }
                 self.l2_mshrs[node].alloc(line, txn);
-                if let Some(t) = self.txns.get_mut(&txn) {
-                    t.offchip = true;
-                }
                 let bank = self.addr_map.global_bank(line);
                 // Decision point 1: the request policy picks the priority
                 // this miss rides to the controller with.
                 let priority = self.req_policy.request_priority(node, bank, core, age, now);
                 let mc_node = self.mcs[self.addr_map.decode(line).controller].node;
-                self.inject(
-                    node,
-                    mc_node,
-                    VNet::Request,
-                    priority,
-                    1,
-                    age.saturating_add(l2_latency).min(self.cfg.noc.max_age()),
-                    MemMsg::MemReq { txn, line },
-                    now,
-                );
+                let msg = MemMsg::MemReq { txn, line };
+                self.send(node, mc_node, msg, priority, out_age, now);
             }
         }
     }
@@ -1366,97 +1295,83 @@ impl System {
 
     fn send_mem_writeback(&mut self, node: usize, line: u64, now: Cycle) {
         let mc_node = self.mcs[self.addr_map.decode(line).controller].node;
-        let flits = self.data_flits;
-        self.inject(
-            node,
-            mc_node,
-            VNet::Request,
-            Priority::Normal,
-            flits,
-            0,
-            MemMsg::MemWriteback { line },
-            now,
-        );
+        let msg = MemMsg::MemWriteback { line };
+        self.send(node, mc_node, msg, Priority::Normal, 0, now);
     }
 
-    fn l2_fill(&mut self, node: usize, txn: TxnId, line: u64, age: u32, high: bool, now: Cycle) {
+    fn l2_fill(&mut self, fill: Fill, now: Cycle) {
+        let (node, line) = (fill.node, fill.line);
         // A fill for an abandoned transaction finds no waiters: the MSHR
         // entry was already torn down when the transaction was lost.
         let waiters = self.l2_mshrs[node].complete(line);
         debug_assert!(
-            waiters.contains(&txn) || !self.txns.contains_key(&txn),
+            waiters.contains(&fill.txn) || !self.txns.contains_key(&fill.txn),
             "fill for a live transaction with no matching MSHR entry"
         );
-        let flits = self.data_flits;
-        let out_age = accumulate_age(age, self.cfg.l2.latency, 1, self.cfg.noc.max_age());
-        let priority = if high {
-            Priority::High
-        } else {
-            Priority::Normal
-        };
+        let out_age = accumulate_age(fill.age, self.cfg.l2.latency, 1, self.cfg.noc.max_age());
         for waiter in waiters {
             let Some(t) = self.txns.get(&waiter) else {
                 continue;
             };
-            let core = t.core;
-            self.inject(
-                node,
-                core,
-                VNet::Response,
-                priority,
-                flits,
-                out_age,
-                MemMsg::L2Resp { txn: waiter, line },
-                now,
-            );
+            let msg = MemMsg::L2Resp { txn: waiter, line };
+            self.send(node, t.core, msg, fill.priority, out_age, now);
         }
     }
 
-    fn core_fill(&mut self, core: usize, txn: TxnId, line: u64, age: u32, high: bool, now: Cycle) {
-        for token in self.l1_mshrs[core].complete(line) {
+    fn core_fill(&mut self, fill: Fill, now: Cycle) {
+        let (core, txn) = (fill.node, fill.txn);
+        for token in self.l1_mshrs[core].complete(fill.line) {
             self.cores[core].complete(token, now);
         }
-        if let Some(t) = self.txns.remove(&txn) {
-            self.timed_out.remove(&txn);
-            self.retry_attempts.remove(&RetryKey::Txn(txn));
-            if t.offchip {
-                if !t.merged {
-                    self.tracker
-                        .record_return_leg(high, now.saturating_sub(t.mc_done));
-                    let times = TxnTimes {
-                        issued: t.issued,
-                        at_l2: t.at_l2,
-                        at_mc: t.at_mc,
-                        mc_done: t.mc_done,
-                        back_at_l2: t.back_at_l2,
-                        done: now,
-                    };
-                    self.tracker.record_completion(core, &times);
-                    self.trace.offer(TxnRecord {
-                        core,
-                        line: t.line,
-                        times,
-                    });
-                }
-                // The paper reads the round-trip delay from the age field
-                // of the returning message, so `Delay_avg` and the so-far
-                // comparison at the controller share units.
-                let final_age = accumulate_age(age, self.cfg.l1.latency, 1, self.cfg.noc.max_age());
-                self.resp_policy.record_round_trip(core, final_age);
-            }
-            if !self.probes.is_empty() {
-                let ev = Retire {
+        let Some(mut t) = self.txns.remove(&txn) else {
+            return;
+        };
+        t.times.done = now;
+        let max_age = self.cfg.noc.max_age();
+        // The one record of a finished access; every consumer below reads
+        // this value and nothing else.
+        let ev = Retire {
+            core,
+            line: t.line,
+            offchip: t.offchip,
+            merged: t.merged,
+            total_latency: t.times.total(),
+            cycle: now,
+            times: t.times,
+            expedited: fill.priority == Priority::High,
+            // The paper reads the round-trip delay from the age field of
+            // the returning message, so `Delay_avg` and the so-far
+            // comparison at the controller share units.
+            age: accumulate_age(fill.age, self.cfg.l1.latency, 1, max_age),
+        };
+        if ev.offchip {
+            if !ev.merged {
+                // The paper's accounting identities (Figure 2), checked on
+                // every off-chip access of every debug-build run.
+                debug_assert!(
+                    ev.times.stamps().is_sorted(),
+                    "txn {txn}: leg stamps out of order: {:?}",
+                    ev.times
+                );
+                debug_assert_eq!(
+                    ev.times.segments().iter().sum::<Cycle>(),
+                    ev.times.total(),
+                    "txn {txn}: the five legs do not sum to the round trip"
+                );
+                debug_assert!(ev.age <= max_age, "txn {txn}: age {} overflows", ev.age);
+                let return_leg = ev.times.done.saturating_sub(ev.times.mc_done);
+                self.tracker.record_return_leg(ev.expedited, return_leg);
+                self.tracker.record_completion(core, &ev.times);
+                self.trace.offer(TxnRecord {
                     core,
-                    line: t.line,
-                    offchip: t.offchip,
-                    merged: t.merged,
-                    total_latency: now.saturating_sub(t.issued),
-                    cycle: now,
-                };
-                for p in &mut self.probes {
-                    p.on_retire(&ev);
-                }
+                    line: ev.line,
+                    times: ev.times,
+                });
             }
+            self.resp_policy.record_round_trip(core, ev.age);
+        }
+        for p in &mut self.probes {
+            p.on_retire(&ev);
         }
     }
 
@@ -1474,51 +1389,34 @@ impl System {
                 let txn = c.req.token;
                 // The transaction may have been abandoned while the access
                 // was queued in DRAM; its completion needs no response.
-                let Some(pending) = self.mcs[m].pending.remove(&txn) else {
+                let Some(t) = self.txns.get_mut(&txn) else {
                     continue;
                 };
-                if let Some(t) = self.txns.get_mut(&txn) {
-                    t.mc_done = now;
-                    t.touched = now;
-                }
-                let age = accumulate_age(
-                    pending.age_at_arrival,
-                    c.controller_delay,
-                    1,
-                    self.cfg.noc.max_age(),
-                );
-                self.tracker.record_so_far(pending.core, age);
+                t.times.mc_done = now;
+                t.touched = now;
+                let (core, line) = (t.core, t.line);
+                let age =
+                    accumulate_age(t.age_at_mc, c.controller_delay, 1, self.cfg.noc.max_age());
+                self.tracker.record_so_far(core, age);
                 // Decision point 2: the response policy picks the priority
                 // of the reply's whole return path.
-                let priority = self
-                    .resp_policy
-                    .response_priority(m, pending.core, age, now);
-                if !self.probes.is_empty() {
-                    let ev = McDequeue {
-                        mc: m,
-                        core: pending.core,
-                        so_far_delay: age,
-                        queued_for: c.controller_delay,
-                        priority,
-                        cycle: now,
-                    };
-                    for p in &mut self.probes {
-                        p.on_mc_dequeue(&ev);
-                    }
-                }
-                let line = pending.line;
-                let mc_node = self.mcs[m].node;
-                let flits = self.data_flits;
-                self.inject(
-                    mc_node,
-                    pending.l2_bank,
-                    VNet::Response,
+                let priority = self.resp_policy.response_priority(m, core, age, now);
+                let ev = McDequeue {
+                    mc: m,
+                    core,
+                    so_far_delay: age,
+                    queued_for: c.controller_delay,
                     priority,
-                    flits,
-                    age,
-                    MemMsg::MemResp { txn, line },
-                    now,
-                );
+                    cycle: now,
+                };
+                for p in &mut self.probes {
+                    p.on_mc_dequeue(&ev);
+                }
+                // The response retraces the request: the `MemReq` came from
+                // the line's home bank.
+                let l2_bank = self.snuca.bank_of(line);
+                let msg = MemMsg::MemResp { txn, line };
+                self.send(self.mcs[m].node, l2_bank, msg, priority, age, now);
             }
         }
     }

@@ -3,7 +3,9 @@
 //! and windowed faults must heal once their window closes.
 
 use noclat::{LivenessViolation, Simulation, System, SystemConfig};
-use noclat_sim::faults::{BankFault, BankFaultKind, CycleWindow, FaultPlan, RouterStall};
+use noclat_sim::faults::{
+    BankFault, BankFaultKind, CycleWindow, FaultPlan, LinkFault, RouterStall,
+};
 use noclat_workloads::{workload, SpecApp};
 
 /// Builds the scenario system through the Simulation API, with the fault
@@ -213,4 +215,72 @@ fn offline_bank_window_degrades_gracefully() {
     );
     // The stalled controller's requests were deferred, not vaporized.
     assert!(sys.controller_stats(0).reads.get() > 0);
+}
+
+/// The retry budget belongs to a message, not to the run: a short total
+/// drop window at every Scheme-1 update period kills each core's threshold
+/// broadcast (and whatever writebacks are in the air) eight times over, and
+/// every one of those packets must be re-injected — the last window's
+/// victims have as much budget as the first's.
+#[test]
+fn retry_budget_is_per_message_across_repeated_drop_windows() {
+    let cfg = SystemConfig::baseline_32().with_both_schemes();
+    let period = cfg.scheme1.update_period;
+    let mut plan = FaultPlan::none();
+    for k in 1..=8 {
+        plan.links.push(LinkFault {
+            node: None,
+            drop_prob: 1.0,
+            extra_delay: 0,
+            window: CycleWindow {
+                start: k * period,
+                end: k * period + 6,
+            },
+        });
+    }
+    let mut sys = build(cfg, plan, &workload(2).apps());
+    sys.run(8 * period + 2_000);
+    let rb = sys.robustness();
+    assert!(rb.packets_dropped > 800, "the windows never fired: {rb:?}");
+    assert_eq!(
+        rb.packets_dropped, rb.retries,
+        "dropped packets were abandoned without a retry: {rb:?}"
+    );
+    assert_eq!(rb.lost_txns, 0);
+    assert!(sys.violations().is_empty(), "{:?}", sys.violations());
+}
+
+/// Abandonment is part of a run's output (every `Lost` record snapshots the
+/// transaction table it leaves behind), so two identical builds must record
+/// the same violations in the same order — not merely the same multiset.
+#[test]
+fn identical_runs_abandon_transactions_in_the_same_order() {
+    let violations = || {
+        let mut cfg = SystemConfig::baseline_32();
+        cfg.recovery.timeout = 1_000;
+        cfg.recovery.max_retries = 1;
+        let mut plan = FaultPlan::none();
+        plan.router_stalls.push(RouterStall {
+            node: 0,
+            window: CycleWindow {
+                start: 2_000,
+                end: u64::MAX,
+            },
+        });
+        let mut sys = build(cfg, plan, &workload(2).apps());
+        sys.run(12_000);
+        sys.violations().to_vec()
+    };
+    let (first, second) = (violations(), violations());
+    let lost = |v: &[LivenessViolation]| {
+        v.iter()
+            .filter(|v| matches!(v, LivenessViolation::Lost { .. }))
+            .count()
+    };
+    assert!(
+        lost(&first) > 100,
+        "the scenario must abandon many transactions per scan, got {}",
+        lost(&first)
+    );
+    assert_eq!(first, second);
 }

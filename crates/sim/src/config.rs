@@ -15,7 +15,7 @@ use crate::Cycle;
 /// The tile grid (`width × height`, one core/L1/L2-bank per tile) is the
 /// same for every kind — the kind only changes how routers are wired:
 ///
-/// * `Mesh` — the paper's 2D mesh (bit-identical to the pre-topology code).
+/// * `Mesh` — the paper's 2D mesh.
 /// * `Torus` — mesh plus wraparound links in both dimensions; deadlock
 ///   freedom comes from dateline virtual-channel subclasses, which is why a
 ///   torus needs `vcs_per_port` divisible by 4 (request/response halves,
@@ -135,7 +135,7 @@ pub struct TopologyConfig {
 }
 
 impl TopologyConfig {
-    /// A plain mesh — the paper's fabric and the pre-topology default.
+    /// A plain mesh — the paper's fabric and the default.
     #[must_use]
     pub fn mesh(width: u16, height: u16) -> Self {
         TopologyConfig {
@@ -1203,6 +1203,45 @@ impl SystemConfig {
                 line: l2_quantum,
             });
         }
+        // Values the component constructors would otherwise panic on.
+        let line = self.l1.line_bytes;
+        let buildable = [
+            (
+                "mem.banks_per_controller",
+                self.mem.banks_per_controller as u64,
+                self.mem.banks_per_controller > 0,
+                "at least one bank",
+            ),
+            (
+                "mem.row_bytes",
+                self.mem.row_bytes as u64,
+                self.mem.row_bytes >= line && self.mem.row_bytes.is_multiple_of(line),
+                "a positive multiple of the line size",
+            ),
+            (
+                "noc.flit_bits",
+                self.noc.flit_bits as u64,
+                self.noc.flit_bits > 0,
+                "a positive flit width",
+            ),
+            (
+                "noc.age_bits",
+                u64::from(self.noc.age_bits),
+                self.noc.age_bits < u32::BITS,
+                "an age field narrower than 32 bits",
+            ),
+            (
+                "idleness_sample_period",
+                self.idleness_sample_period,
+                self.idleness_sample_period > 0,
+                "a positive period",
+            ),
+        ];
+        for (field, value, ok, need) in buildable {
+            if !ok {
+                return Err(ConfigError::InvalidField { field, value, need });
+            }
+        }
         if self.scheme1.threshold_factor <= 0.0 {
             return Err(ConfigError::BadThresholdFactor(
                 self.scheme1.threshold_factor,
@@ -1309,6 +1348,16 @@ pub enum ConfigError {
     /// Torus dateline deadlock avoidance splits each virtual network into
     /// two VC subclasses, so the VC count must be divisible by 4.
     TorusNeedsDatelineVcs(usize),
+    /// A field holds a value the component it configures cannot be built
+    /// from.
+    InvalidField {
+        /// Dotted path of the field inside [`SystemConfig`].
+        field: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// What the field needs to hold instead.
+        need: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -1393,6 +1442,9 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "torus dateline VCs need a VC count divisible by 4, got {n}"
                 )
+            }
+            ConfigError::InvalidField { field, value, need } => {
+                write!(f, "{field} = {value} is invalid (need {need})")
             }
         }
     }

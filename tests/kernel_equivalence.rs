@@ -5,11 +5,11 @@
 //!
 //! Each cell runs the same configuration under both kernels and compares a
 //! deep fingerprint: per-core counters for all 32 cores, network and
-//! controller statistics, in-flight populations, the liveness-violation
-//! multiset, and the *complete* probe event stream (every router hop, every
-//! controller dequeue, every retirement, each with its cycle stamp). A
-//! kernel that skips one cycle it should not have — or wakes one cycle late
-//! — moves an event stamp and fails the cell.
+//! controller statistics, in-flight populations, the liveness violations
+//! in the order they were raised, and the *complete* probe event stream
+//! (every router hop, every controller dequeue, every retirement, each with
+//! its cycle stamp). A kernel that skips one cycle it should not have — or
+//! wakes one cycle late — moves an event stamp and fails the cell.
 
 use std::sync::{Arc, Mutex};
 
@@ -117,10 +117,8 @@ fn run_cell(
     // Each kind built the implementation of its name.
     assert_eq!(sys.request_policy_name(), cfg.policy.request.name());
     assert_eq!(sys.response_policy_name(), cfg.policy.response.name());
-    // Violation order can differ across runs when several trip in the same
-    // scan (hash-map iteration); the *multiset* is the contract, so sort.
-    let mut violations: Vec<String> = sys.violations().iter().map(|v| format!("{v:?}")).collect();
-    violations.sort();
+    // As recorded: the order violations are raised in is part of the run.
+    let violations: Vec<String> = sys.violations().iter().map(|v| format!("{v:?}")).collect();
     let events = events.lock().expect("recorder lock").clone();
     Fingerprint {
         now: sys.now(),

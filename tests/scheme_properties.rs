@@ -2,9 +2,14 @@
 //! observable guarantees, run through the public API — plus the robustness
 //! guarantees of the fault-injection/recovery layer.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use noclat_repro::sim::check::{self, pick, range_f64, range_u64};
 use noclat_repro::workloads::workload;
-use noclat_repro::{run_mix, FaultPlan, RunLengths, SystemConfig};
+use noclat_repro::{
+    run_mix, FaultPlan, Probe, Retire, RunLengths, Scheme, Simulation, SystemConfig,
+};
 
 fn quick() -> RunLengths {
     RunLengths {
@@ -121,5 +126,58 @@ fn drop_faults_with_recovery_retire_all_transactions() {
             "recovery lost {} transactions at drop rate {rate}",
             rb.lost_txns
         );
+    });
+}
+
+/// Checks the paper's accounting identities (Figure 2) on every off-chip,
+/// non-merged access it sees retire, and counts them.
+struct LegAudit {
+    max_age: u32,
+    audited: Arc<AtomicU64>,
+}
+
+impl Probe for LegAudit {
+    fn on_retire(&mut self, ev: &Retire) {
+        if !ev.offchip || ev.merged {
+            return;
+        }
+        let t = &ev.times;
+        assert!(t.stamps().is_sorted(), "leg stamps out of order: {ev:?}");
+        assert_eq!(t.segments().iter().sum::<u64>(), t.total(), "{ev:?}");
+        assert_eq!((t.total(), t.done), (ev.total_latency, ev.cycle), "{ev:?}");
+        assert!(ev.age <= self.max_age, "age overflows its field: {ev:?}");
+        self.audited.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The debug-build assertions at the retire site, as a release-mode
+/// property seen from outside through the probe seam: under every scheme
+/// combination, any seed and any age-field width (a narrow field saturates
+/// constantly), the six stamps of a retired access are in path order, its
+/// five legs sum to its round trip, and the age it returns fits its field.
+#[test]
+fn retired_accesses_satisfy_the_accounting_identities() {
+    check::cases(3, |rng| {
+        for scheme in Scheme::ALL {
+            let mut cfg = SystemConfig::baseline_32().with_scheme(scheme);
+            cfg.seed = rng.next_u64();
+            cfg.noc.age_bits = pick(rng, &[8, 10, 12]);
+            let audited = Arc::new(AtomicU64::new(0));
+            let probe = LegAudit {
+                max_age: cfg.noc.max_age(),
+                audited: Arc::clone(&audited),
+            };
+            let mut sim = Simulation::builder(cfg)
+                .probe(Box::new(probe))
+                .workload(&workload(pick(rng, &[2, 8])).apps())
+                .build()
+                .expect("valid config");
+            sim.run(6_000);
+            assert!(
+                audited.load(Ordering::Relaxed) > 100,
+                "{}: too few off-chip accesses retired to mean anything",
+                scheme.name()
+            );
+        }
     });
 }
