@@ -18,11 +18,14 @@ fn workload_index(value: &str) -> Result<usize, String> {
     }
 }
 
-/// One value of a closed `--flag` vocabulary, kept beside its spelling.
-fn one_of<T: Copy>(known: &[(&'static str, T)], value: &str) -> Result<(&'static str, T), String> {
-    let names: Vec<&str> = known.iter().map(|(name, _)| *name).collect();
-    let found = known.iter().find(|(name, _)| *name == value).copied();
-    found.ok_or_else(|| format!("unknown value {value} (known: {})", names.join(", ")))
+/// The flags of `simulate` beyond the shared set.
+pub fn simulate_usage() -> String {
+    format!(
+        "[--workload 1..18] [--scheme {}] [--cores 16|32] [--routing {}] [--sched {}]",
+        Scheme::HELP,
+        RoutingAlgorithm::HELP,
+        MemSchedPolicy::HELP
+    )
 }
 
 /// Simulates one workload and prints the full report: per-application IPC
@@ -36,20 +39,16 @@ pub fn simulate(args: &SweepArgs, rest: &[String]) -> Json {
         Scheme::parse(s).map(|scheme| (s.to_string(), scheme))
     });
     let (scheme_name, scheme) = scheme.unwrap_or(("both".into(), Scheme::Both));
-    let cores = flags.take("--cores", |s| one_of(&[("32", 32usize), ("16", 16)], s));
-    let cores = cores.map_or(32, |(_, n)| n);
-    let routings = [("xy", RoutingAlgorithm::XY), ("yx", RoutingAlgorithm::YX)];
-    let (routing_name, routing) = flags
-        .take("--routing", |s| one_of(&routings, s))
-        .unwrap_or(routings[0]);
-    let scheds = [
-        ("frfcfs", MemSchedPolicy::FrFcfs),
-        ("frfcfs-cap", MemSchedPolicy::FrFcfsCap(4)),
-        ("fcfs", MemSchedPolicy::Fcfs),
-    ];
-    let (sched_name, sched) = flags
-        .take("--sched", |s| one_of(&scheds, s))
-        .unwrap_or(scheds[0]);
+    let cores = flags.take("--cores", |s| match s {
+        "32" => Ok(32usize),
+        "16" => Ok(16),
+        other => Err(format!("expected 16|32, got {other}")),
+    });
+    let cores = cores.unwrap_or(32);
+    let routing = flags.take("--routing", RoutingAlgorithm::parse);
+    let routing = routing.unwrap_or(RoutingAlgorithm::XY);
+    let sched = flags.take("--sched", MemSchedPolicy::parse);
+    let sched = sched.unwrap_or(MemSchedPolicy::FrFcfs);
     flags.finish();
 
     let mix = w(workload);
@@ -65,6 +64,7 @@ pub fn simulate(args: &SweepArgs, rest: &[String]) -> Json {
     let req_policy = args.policy.request.unwrap_or(cfg.policy.request).name();
     let resp_policy = args.policy.response.unwrap_or(cfg.policy.response).name();
     let (name, kind, window) = (mix.name(), mix.kind, args.lengths);
+    let (routing_name, sched_name) = (routing.name(), sched.name());
     println!(
         "simulating {name} ({kind:?}) on {cores} cores, scheme={scheme_name}, \
          policy={req_policy}/{resp_policy}, routing={routing_name}, sched={sched_name}, \

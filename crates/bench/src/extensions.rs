@@ -211,12 +211,12 @@ pub fn topo_sweep(args: &SweepArgs, rest: &[String]) -> Json {
         "both" => Ok(vec![16, 32]),
         other => Err(format!("expected 16|32|both, got {other}")),
     });
-    let list = |s: &str| -> Vec<String> { s.split(',').map(ToString::to_string).collect() };
-    let fabrics = flags.take("--fabrics", |s| Ok::<_, String>(list(s)));
-    let fabrics = fabrics.unwrap_or_else(|| list("mesh,torus,cmesh:c=4,express:skip=2"));
+    let list = |s: &str| s.split(',').map(CellSpec::parse_fabric).collect();
+    let fabrics: Vec<TopologyOverride> = flags.take("--fabrics", list).unwrap_or_else(|| {
+        list("mesh,torus,cmesh:c=4,express:skip=2").expect("the default fabrics parse")
+    });
     let mcs = flags.take("--mc", |s| s.split(',').map(McPlacement::parse).collect());
-    let mcs: Vec<McPlacement> =
-        mcs.unwrap_or_else(|| vec![McPlacement::Corner, McPlacement::Edge, McPlacement::Center]);
+    let mcs: Vec<McPlacement> = mcs.unwrap_or_else(|| McPlacement::ALL.to_vec());
     flags.finish();
 
     // Each cell is the one a sweepd client would submit (validated up
@@ -227,12 +227,12 @@ pub fn topo_sweep(args: &SweepArgs, rest: &[String]) -> Json {
     let mut cells = Vec::new();
     let mut labels: Vec<(String, String, &str, &str)> = Vec::new();
     for &size in sizes.as_deref().unwrap_or(&[16]) {
-        for fabric in &fabrics {
+        for &fabric in &fabrics {
             for &mc in &mcs {
                 for scheme in Scheme::ALL {
                     let spec = CellSpec {
                         size,
-                        fabric: fabric.clone(),
+                        fabric,
                         mc,
                         scheme,
                         workload: WORKLOAD,

@@ -27,8 +27,9 @@ pub struct Figure {
     pub title: &'static str,
     /// See `title`.
     pub caption: &'static str,
-    /// The flags it accepts beyond the shared sweep set, for usage strings.
-    pub extra_usage: &'static str,
+    /// The flags it accepts beyond the shared sweep set, for usage strings
+    /// (none: [`String::new`]).
+    pub extra_usage: fn() -> String,
     /// Arguments injected before the command line's: its historical default
     /// window and seed, which explicit flags (parsed later) override.
     pub defaults: &'static [&'static str],
@@ -48,7 +49,7 @@ const fn fig(
         id,
         title,
         caption,
-        extra_usage: "",
+        extra_usage: String::new,
         defaults: &[],
         run,
     }
@@ -183,18 +184,17 @@ pub const FIGURES: &[Figure] = &[
         extensions::slowest,
     ),
     Figure {
-        extra_usage: "[--workload 1..18] [--scheme none|s1|s2|both] [--cores 16|32] \
-                      [--routing xy|yx] [--sched frfcfs|frfcfs-cap|fcfs]",
+        extra_usage: cli::simulate_usage,
         defaults: &["--warmup", "20000", "--measure", "150000"],
         ..fig("simulate", "", "", cli::simulate)
     },
     Figure {
-        extra_usage: "[--workload 1..18]",
+        extra_usage: || "[--workload 1..18]".to_string(),
         defaults: &["--warmup", "5000", "--measure", "40000", "--seed", "42"],
         ..fig("faultsim", "", "", cli::faultsim)
     },
     Figure {
-        extra_usage: "[--size 16|32|both] [--fabrics CSV] [--mc CSV]",
+        extra_usage: || "[--size 16|32|both] [--fabrics CSV] [--mc CSV]".to_string(),
         ..fig(
             "topo_sweep",
             "Topology sweep: scheme gains across fabrics at 16x16 / 32x32",
@@ -215,9 +215,9 @@ impl Figure {
     /// `repro <id> <its own flags> <the shared flags>`.
     #[must_use]
     pub fn usage(&self) -> String {
-        let sep = if self.extra_usage.is_empty() { "" } else { " " };
-        let (id, extra) = (self.id, self.extra_usage);
-        format!("repro {id} {extra}{sep}{}", sweep::SWEEP_USAGE)
+        let (id, extra) = (self.id, (self.extra_usage)());
+        let sep = if extra.is_empty() { "" } else { " " };
+        format!("repro {id} {extra}{sep}{}", sweep::sweep_usage())
     }
 
     /// Its arguments as a run with command line `argv` parses them.
@@ -230,7 +230,7 @@ impl Figure {
     /// The whole of a harness: parse, banner, run, report, `--json`.
     pub fn run_with(&self, argv: &[String]) {
         let (args, rest) = self.parse(argv);
-        if self.extra_usage.is_empty() {
+        if (self.extra_usage)().is_empty() {
             RestFlags::new(&rest, &self.usage()).finish();
         }
         if !self.title.is_empty() {

@@ -84,4 +84,29 @@ fn simulate_rejects_invalid_topology_specs_as_usage_errors() {
         .expect("simulate spawns");
     assert_eq!(bad_concentration.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_concentration.stderr).contains("error: --topology:"));
+
+    // A parameter the named fabric does not take used to be dropped in
+    // silence (and `mc=` inside `--fabrics` overridden by `--mc`); each is
+    // refused, naming its flag, before any cell runs.
+    for (id, flag, spec, says) in [
+        ("simulate", "--topology", "mesh:c=4", "mesh takes no c="),
+        (
+            "simulate",
+            "--topology",
+            "torus:skip=3",
+            "torus takes no skip=",
+        ),
+        ("topo_sweep", "--fabrics", "torus:mc=edge", "sets mc="),
+        ("topo_sweep", "--fabrics", "mesh:c=4", "mesh takes no c="),
+    ] {
+        let out = repro(id)
+            .args([flag, spec, "--measure", "100"])
+            .output()
+            .expect("repro spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{id} {flag} {spec}: {stderr}");
+        let named = format!("error: {flag}: ");
+        assert!(stderr.contains(&named) && stderr.contains(says), "{stderr}");
+        assert!(!stderr.contains("sweep:"), "{id} ran cells: {stderr}");
+    }
 }

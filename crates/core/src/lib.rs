@@ -46,10 +46,7 @@ pub use experiment::{
 };
 pub use messages::{MemMsg, TxnId};
 pub use metrics::{AppLatency, LatencyTracker, SegmentRow, TxnTimes};
-pub use policy::{
-    build_request_policy, build_response_policy, BaselinePolicy, OldestFirstPolicy, RequestPolicy,
-    ResponsePolicy, Scheme1Policy, Scheme2Policy, StaticPolicy,
-};
+pub use policy::{RequestPolicy, ResponsePolicy};
 pub use probe::{CountingProbe, McDequeue, Probe, ProbeCounters, Retire};
 pub use report::{ControllerReport, NetworkReport, SystemReport};
 pub use scheme1::{Scheme1, ThresholdTable};

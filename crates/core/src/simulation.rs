@@ -289,8 +289,17 @@ mod tests {
     #[test]
     fn build_rejects_invalid_configurations() {
         type Corrupt = fn(&mut SystemConfig);
-        let table: [(&str, Corrupt); 6] = [
+        let table: [(&str, Corrupt); 13] = [
             ("buffer depth is zero", |c| c.noc.buffer_depth = 0),
+            ("cpu.window_size = 0", |c| c.cpu.window_size = 0),
+            ("cpu.lsq_size = 0", |c| c.cpu.lsq_size = 0),
+            ("cpu.issue_width = 0", |c| c.cpu.issue_width = 0),
+            ("cpu.commit_width = 0", |c| c.cpu.commit_width = 0),
+            ("l2.mshrs_per_bank = 0", |c| c.l2.mshrs_per_bank = 0),
+            ("mem.refresh_period = 0", |c| c.mem.refresh_period = 0),
+            ("threshold factor NaN", |c| {
+                c.scheme1.threshold_factor = f64::NAN;
+            }),
             ("mem.banks_per_controller = 0", |c| {
                 c.mem.banks_per_controller = 0;
             }),

@@ -8,8 +8,8 @@
 //! threshold updates, the network, packet deliveries, delayed cache-bank
 //! work, and finally the memory controllers.
 //!
-//! Every network-priority decision is delegated to the pluggable policy
-//! layer ([`crate::policy`]): request injection at L2 miss goes through a
+//! Every network-priority decision is delegated to the policy layer
+//! ([`crate::policy`]): request injection at L2 miss goes through a
 //! [`RequestPolicy`], response injection at the controllers through a
 //! [`ResponsePolicy`], and router arbitration through the
 //! `StarvationPolicy` key inside each router. Observers can attach
@@ -35,7 +35,7 @@ use noclat_workloads::{SpecApp, SyntheticStream};
 
 use crate::messages::{MemMsg, TxnId};
 use crate::metrics::{LatencyTracker, TxnTimes};
-use crate::policy::{build_request_policy, build_response_policy, RequestPolicy, ResponsePolicy};
+use crate::policy::{RequestPolicy, ResponsePolicy};
 use crate::probe::{McDequeue, Probe, Retire};
 use crate::trace::{TraceLog, TxnRecord};
 use crate::watchdog::{LivenessViolation, Snapshot, Watchdog};
@@ -253,10 +253,10 @@ pub struct System {
     mc_at_node: Vec<Option<usize>>,
     /// Decision point 1: priority of L2-miss requests entering the request
     /// network (Scheme-2's seam).
-    req_policy: Box<dyn RequestPolicy>,
+    req_policy: RequestPolicy,
     /// Decision point 2: priority of responses injected by the memory
     /// controllers, plus the threshold side-channel (Scheme-1's seam).
-    resp_policy: Box<dyn ResponsePolicy>,
+    resp_policy: ResponsePolicy,
     /// Attached observers; empty by default, in which case the system runs
     /// the plain monomorphized network path with zero probe overhead.
     probes: Vec<Box<dyn Probe>>,
@@ -383,8 +383,8 @@ impl System {
             work_seq: 0,
             mcs,
             mc_at_node,
-            req_policy: build_request_policy(&cfg, addr_map.total_banks()),
-            resp_policy: build_response_policy(&cfg),
+            req_policy: RequestPolicy::new(&cfg, addr_map.total_banks()),
+            resp_policy: ResponsePolicy::new(&cfg),
             probes: Vec::new(),
             txns: HashMap::new(),
             next_txn: 0,
@@ -1119,7 +1119,7 @@ impl System {
 
     /// Broadcasts whatever threshold updates the response policy wants to
     /// send this cycle (Scheme-1's periodic `factor × Delay_avg` messages;
-    /// an empty poll — the common case — costs one virtual call).
+    /// an empty poll — the common case — costs one match).
     fn policy_updates(&mut self, now: Cycle) {
         let updates = self.resp_policy.poll_updates(now);
         if updates.is_empty() {
@@ -1400,7 +1400,7 @@ impl System {
                 self.tracker.record_so_far(core, age);
                 // Decision point 2: the response policy picks the priority
                 // of the reply's whole return path.
-                let priority = self.resp_policy.response_priority(m, core, age, now);
+                let priority = self.resp_policy.response_priority(m, core, age);
                 let ev = McDequeue {
                     mc: m,
                     core,

@@ -111,12 +111,51 @@ impl std::fmt::Display for PruneSpec {
     }
 }
 
-/// Flags accepted by [`SweepArgs::parse_argv`], for inclusion in usage strings.
-pub const SWEEP_USAGE: &str = "[--jobs N] [--json PATH] [--seed N] [--warmup N] [--measure N] \
-     [--policy req=NAME,resp=NAME,arb=NAME] [--kernel cycle|event] \
-     [--topology mesh|torus|cmesh|express[:c=N,skip=N,mc=corner|edge|center]] \
-     [--resume PATH] [--job-timeout SECS] [--retries N] \
-     [--prune off|analytic:top=K] [quick]";
+/// Flags accepted by [`SweepArgs::parse_argv`], for inclusion in usage
+/// strings; the closed vocabularies are quoted from their declarations.
+#[must_use]
+pub fn sweep_usage() -> String {
+    format!(
+        "[--jobs N] [--json PATH] [--seed N] [--warmup N] [--measure N] \
+         [--policy {}] [--kernel {}] [--topology {}] \
+         [--resume PATH] [--job-timeout SECS] [--retries N] \
+         [--prune off|analytic:top=K] [quick]",
+        PolicyOverride::help(),
+        KernelKind::HELP,
+        TopologyOverride::help()
+    )
+}
+
+/// The one walk over a command line: removes every `flag VALUE` pair from
+/// `rest` and returns the last value (later occurrences win).
+fn take<'a>(rest: &mut Vec<&'a str>, flag: &str) -> Result<Option<&'a str>, String> {
+    let mut last = None;
+    while let Some(at) = rest.iter().position(|a| *a == flag) {
+        if at + 1 == rest.len() {
+            return Err(format!("{flag} needs a value"));
+        }
+        last = Some(rest.remove(at + 1));
+        rest.remove(at);
+    }
+    Ok(last)
+}
+
+/// [`take`], parsed; a value `parse` rejects is `<flag>: <its error>`.
+fn take_parsed<T, E: std::fmt::Display>(
+    rest: &mut Vec<&str>,
+    flag: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Option<T>, String> {
+    let parsed = take(rest, flag)?.map(parse);
+    parsed.transpose().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Removes every occurrence of the bare words `names`; whether any was there.
+fn take_switch(rest: &mut Vec<&str>, names: [&str; 2]) -> bool {
+    let before = rest.len();
+    rest.retain(|a| !names.contains(a));
+    rest.len() != before
+}
 
 impl SweepArgs {
     fn defaults() -> Self {
@@ -163,111 +202,47 @@ impl SweepArgs {
         std::env::args().skip(1).chain(quick).collect()
     }
 
-    /// Pure parsing core (testable without process state).
+    /// Pure parsing core (testable without process state): every shared
+    /// flag is taken out of `argv`, whatever remains is returned.
     pub fn parse_argv(argv: &[String]) -> Result<(SweepArgs, Vec<String>), String> {
-        let mut args = Self::defaults();
-        let mut quick = false;
-        let mut warmup_override = None;
-        let mut measure_override = None;
-        let mut rest = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].as_str();
-            let value = || -> Result<&String, String> {
-                argv.get(i + 1)
-                    .ok_or_else(|| format!("{key} needs a value"))
-            };
-            match key {
-                "--jobs" => {
-                    args.jobs = value()?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                    if args.jobs == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    i += 2;
-                }
-                "--json" => {
-                    args.json = Some(PathBuf::from(value()?));
-                    i += 2;
-                }
-                "--seed" => {
-                    args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?;
-                    i += 2;
-                }
-                "--warmup" => {
-                    warmup_override = Some(value()?.parse().map_err(|e| format!("--warmup: {e}"))?);
-                    i += 2;
-                }
-                "--measure" => {
-                    let m: u64 = value()?.parse().map_err(|e| format!("--measure: {e}"))?;
-                    if m == 0 {
-                        return Err("--measure must be at least 1 cycle".into());
-                    }
-                    measure_override = Some(m);
-                    i += 2;
-                }
-                "--policy" => {
-                    // PolicyOverride::parse already prefixes its errors
-                    // with "--policy:".
-                    args.policy = PolicyOverride::parse(value()?)?;
-                    i += 2;
-                }
-                "--kernel" => {
-                    // KernelKind::parse already prefixes its errors with
-                    // "--kernel:".
-                    args.kernel = KernelKind::parse(value()?)?;
-                    i += 2;
-                }
-                "--topology" => {
-                    // TopologyOverride::parse already prefixes its errors
-                    // with "--topology:".
-                    args.topology = TopologyOverride::parse(value()?)?;
-                    i += 2;
-                }
-                "--resume" => {
-                    args.resume = Some(PathBuf::from(value()?));
-                    i += 2;
-                }
-                "--job-timeout" => {
-                    let secs: f64 = value()?
-                        .parse()
-                        .map_err(|e| format!("--job-timeout: {e}"))?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err("--job-timeout must be a positive number of seconds".into());
-                    }
-                    args.job_timeout = Some(Duration::from_secs_f64(secs));
-                    i += 2;
-                }
-                "--retries" => {
-                    args.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?;
-                    i += 2;
-                }
-                "--prune" => {
-                    // PruneSpec::parse already prefixes its errors with
-                    // "--prune:".
-                    args.prune = PruneSpec::parse(value()?)?;
-                    i += 2;
-                }
-                "quick" | "--quick" => {
-                    quick = true;
-                    i += 1;
-                }
-                "--help" | "-h" => return Err("help".into()),
-                _ => {
-                    rest.push(argv[i].clone());
-                    i += 1;
-                }
-            }
+        let rest = &mut argv.iter().map(String::as_str).collect::<Vec<_>>();
+        if take_switch(rest, ["--help", "-h"]) {
+            return Err("help".into());
         }
-        if quick {
+        let mut args = Self::defaults();
+        if take_switch(rest, ["quick", "--quick"]) {
             args.lengths = RunLengths::quick();
         }
-        if let Some(w) = warmup_override {
-            args.lengths.warmup = w;
+        let path = |value: &str| Ok::<_, String>(PathBuf::from(value));
+        let number = str::parse::<u64>;
+        args.jobs = take_parsed(rest, "--jobs", str::parse)?.unwrap_or(args.jobs);
+        if args.jobs == 0 {
+            return Err("--jobs must be at least 1".into());
         }
-        if let Some(m) = measure_override {
-            args.lengths.measure = m;
+        args.json = take_parsed(rest, "--json", path)?;
+        args.seed = take_parsed(rest, "--seed", number)?.unwrap_or(args.seed);
+        let window = &mut args.lengths;
+        window.warmup = take_parsed(rest, "--warmup", number)?.unwrap_or(window.warmup);
+        window.measure = take_parsed(rest, "--measure", number)?.unwrap_or(window.measure);
+        if window.measure == 0 {
+            return Err("--measure must be at least 1 cycle".into());
         }
-        Ok((args, rest))
+        args.policy = take_parsed(rest, "--policy", PolicyOverride::parse)?.unwrap_or(args.policy);
+        args.kernel = take_parsed(rest, "--kernel", KernelKind::parse)?.unwrap_or(args.kernel);
+        let topology = take_parsed(rest, "--topology", TopologyOverride::parse)?;
+        args.topology = topology.unwrap_or(args.topology);
+        args.resume = take_parsed(rest, "--resume", path)?;
+        if let Some(secs) = take_parsed(rest, "--job-timeout", str::parse::<f64>)? {
+            if !(secs > 0.0 && secs.is_finite()) {
+                return Err("--job-timeout must be a positive number of seconds".into());
+            }
+            args.job_timeout = Some(Duration::from_secs_f64(secs));
+        }
+        args.retries = take_parsed(rest, "--retries", str::parse)?.unwrap_or(args.retries);
+        // PruneSpec::parse names its flag itself.
+        let prune = take(rest, "--prune")?.map(PruneSpec::parse).transpose()?;
+        args.prune = prune.unwrap_or(args.prune);
+        Ok((args, rest.iter().map(ToString::to_string).collect()))
     }
 
     /// Applies this sweep's `--policy`, `--kernel` and `--topology`
@@ -329,32 +304,15 @@ impl<'a> RestFlags<'a> {
         }
     }
 
-    /// Removes every `flag VALUE` pair and returns the last value (later
-    /// occurrences win, as for the shared flags).
-    fn value(&mut self, flag: &str) -> Option<&'a str> {
-        let mut last = None;
-        while let Some(at) = self.rest.iter().position(|a| *a == flag) {
-            if at + 1 == self.rest.len() {
-                fail_usage(&format!("{flag} needs a value"), self.usage);
-            }
-            last = Some(self.rest.remove(at + 1));
-            self.rest.remove(at);
-        }
-        last
-    }
-
-    /// The parsed value of `flag`, `None` if it was not given; a value
-    /// `parse` rejects is reported as `<flag>: <its error>`.
+    /// The parsed value of `flag`, `None` if it was not given (the last one
+    /// if it was given twice, as for the shared flags); a value `parse`
+    /// rejects is reported as `<flag>: <its error>`.
     pub fn take<T, E: std::fmt::Display>(
         &mut self,
         flag: &str,
         parse: impl Fn(&str) -> Result<T, E>,
     ) -> Option<T> {
-        let value = self.value(flag)?;
-        match parse(value) {
-            Ok(parsed) => Some(parsed),
-            Err(e) => fail_usage(&format!("{flag}: {e}"), self.usage),
-        }
+        take_parsed(&mut self.rest, flag, parse).unwrap_or_else(|e| fail_usage(&e, self.usage))
     }
 
     /// Rejects whatever no `take` claimed.
@@ -461,6 +419,51 @@ mod tests {
             SweepArgs::parse_argv(&argv(&["--help"])).unwrap_err(),
             "help"
         );
+        // The bytes a user reads: the flag first, then what is wrong with it.
+        let cases: [(&[&str], &str); 8] = [
+            (&["--jobs", "0"], "--jobs must be at least 1"),
+            (&["--jobs"], "--jobs needs a value"),
+            (&["--seed", "x"], "--seed: invalid digit found in string"),
+            (
+                &["--kernel", "x"],
+                "--kernel: unknown kernel \"x\" (known: cycle, event)",
+            ),
+            (
+                &["--topology", "ring"],
+                "--topology: unknown fabric \"ring\" (known: mesh, torus, cmesh, express)",
+            ),
+            (
+                &["--topology", "mesh:c=4"],
+                "--topology: mesh takes no c= parameter",
+            ),
+            (
+                &["--policy", "req=x"],
+                "--policy: unknown request policy \"x\" \
+                 (known: baseline, scheme2, oldest-first, static)",
+            ),
+            (
+                &["--prune", "x"],
+                "--prune: unknown spec \"x\" (expected off or analytic:top=K)",
+            ),
+        ];
+        for (bad, says) in cases {
+            assert_eq!(SweepArgs::parse_argv(&argv(bad)).unwrap_err(), says);
+        }
+    }
+
+    #[test]
+    fn usage_quotes_every_name_of_the_shared_vocabularies() {
+        use noclat::{McPlacement, RequestPolicyKind, ResponsePolicyKind, TopologyKind};
+        let usage = sweep_usage();
+        let names = (KernelKind::ALL.map(|v| v.name()).into_iter())
+            .chain(TopologyKind::ALL.map(|v| v.name()))
+            .chain(McPlacement::ALL.map(|v| v.name()))
+            .chain(RequestPolicyKind::ALL.map(|v| v.name()))
+            .chain(ResponsePolicyKind::ALL.map(|v| v.name()))
+            .chain(["age-guard", "batching"]);
+        for name in names {
+            assert!(usage.contains(name), "{name} missing from: {usage}");
+        }
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub mod report;
 pub mod server;
 
 pub use args::{
-    fail_usage, job_key, sweep_fingerprint, PruneSpec, RestFlags, SweepArgs, DEFAULT_SHARDS,
-    SWEEP_USAGE,
+    fail_usage, job_key, sweep_fingerprint, sweep_usage, PruneSpec, RestFlags, SweepArgs,
+    DEFAULT_SHARDS,
 };
 pub use cache::{read_snapshot, sweepd_cache_fingerprint, CacheError, ResultCache};
 pub use codec::CellCodec;

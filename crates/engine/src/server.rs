@@ -51,7 +51,10 @@
 //! ([`CellSpec::canonical`]), which covers every result-determining field
 //! (size, fabric, MC placement, scheme, workload, seed, window, kernel) —
 //! the service-side analogue of [`crate::sweep_fingerprint`] +
-//! [`crate::job_key`]. The cache file itself pins the constant
+//! [`crate::job_key`]. It is rendered from the parsed values, never from
+//! the request's text: every spelling of a cell (`cmesh`, `cmesh:c=4`,
+//! `cmesh:concentration=4`; `none`, `baseline`) has the one key. The cache
+//! file itself pins the constant
 //! [`crate::cache::sweepd_cache_fingerprint`] since it spans many sweeps.
 
 use std::collections::{HashMap, VecDeque};
@@ -78,8 +81,9 @@ use crate::json::{Json, Obj};
 pub struct CellSpec {
     /// Mesh side: 4 (16 cores), 8 (the paper's 8×4), 16 (256) or 32 (1024).
     pub size: u16,
-    /// Fabric override spec (`mesh`, `torus`, `cmesh:c=4`, `express:skip=2`…).
-    pub fabric: String,
+    /// The fabric, resolved ([`CellSpec::parse_fabric`]): rendered `mesh`,
+    /// `torus`, `cmesh:c=N` or `express:skip=N`.
+    pub fabric: TopologyOverride,
     /// Memory-controller placement.
     pub mc: McPlacement,
     /// Scheme combination (`baseline`/`none`, `s1`, `s2` or `both`).
@@ -134,7 +138,8 @@ impl CellSpec {
         };
         let spec = CellSpec {
             size,
-            fabric: str_field("fabric", "mesh")?,
+            fabric: Self::parse_fabric(&str_field("fabric", "mesh")?)
+                .map_err(|e| format!("cell.fabric: {e}"))?,
             mc: McPlacement::parse(&str_field("mc", "corner")?)
                 .map_err(|e| format!("cell.mc: {e}"))?,
             scheme: Scheme::parse(&str_field("scheme", "baseline")?)
@@ -156,6 +161,23 @@ impl CellSpec {
         // submit time, not a quarantined job later.
         spec.build().map_err(|e| format!("cell: {e}"))?;
         Ok(spec)
+    }
+
+    /// Parses a cell's fabric: any `--topology` spelling but `mc=` (a cell
+    /// names its placement in a field of its own), with the fabric's
+    /// defaults filled in so that equal fabrics are equal values.
+    ///
+    /// # Errors
+    ///
+    /// The grammar's message, or the refusal of `mc=`.
+    pub fn parse_fabric(text: &str) -> Result<TopologyOverride, String> {
+        let fabric = TopologyOverride::parse(text)?;
+        if fabric.mc_placement.is_some() {
+            return Err(format!(
+                "{text:?} sets mc=, which a cell takes as its own field"
+            ));
+        }
+        Ok(fabric.resolved())
     }
 
     /// Canonical single-line rendering: the content-address preimage. Every
@@ -205,7 +227,7 @@ impl CellSpec {
             .expect("size validated at parse")
             .with_scheme(self.scheme);
         cfg.seed = self.seed;
-        TopologyOverride::parse(&self.fabric)?.apply(&mut cfg);
+        self.fabric.apply(&mut cfg);
         cfg.topology.mc_placement = self.mc;
         cfg.kernel = self.kernel;
         cfg.validate()
@@ -828,7 +850,7 @@ mod tests {
     fn cell_spec_parses_defaults_and_validates() {
         let spec = CellSpec::from_json(&spec_json("")).unwrap();
         assert_eq!(spec.size, 8);
-        assert_eq!(spec.fabric, "mesh");
+        assert_eq!(spec.fabric.to_string(), "mesh");
         assert_eq!(spec.mc, McPlacement::Corner);
         assert_eq!(spec.scheme, Scheme::Baseline);
         assert_eq!(spec.workload, 2);
@@ -839,7 +861,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(spec.size, 16);
-        assert_eq!(spec.fabric, "torus");
+        assert_eq!(spec.fabric.to_string(), "torus");
         assert_eq!(spec.mc, McPlacement::Edge);
         assert_eq!(spec.kernel, KernelKind::Event);
         let cell = spec.build().unwrap();
@@ -875,6 +897,53 @@ mod tests {
         // Same spec → same key (the dedup invariant).
         let again = CellSpec::from_json(&spec_json("")).unwrap();
         assert_eq!(base.key(), again.key());
+    }
+
+    #[test]
+    fn every_spelling_of_a_cell_has_the_one_frozen_key() {
+        let key = |fields: &str| {
+            let spec = CellSpec::from_json(&spec_json(fields)).expect(fields);
+            format!("{:016x}", spec.key())
+        };
+        // The spellings `topo_sweep`, CI and `benchmark/` send keep the keys
+        // they had when the request's text was hashed.
+        let mesh = key(r#""size":16,"fabric":"mesh""#);
+        let cmesh = key(r#""size":16,"fabric":"cmesh:c=4""#);
+        assert_eq!(mesh, "f44c8ba5a7b61df8");
+        assert_eq!(cmesh, "cc9a9c5aff78010f");
+        assert_eq!(
+            key(r#""size":16,"fabric":"torus","mc":"edge""#),
+            "11553328c95f3976"
+        );
+        // Every other spelling of the same cell lands on them.
+        for same_as_mesh in [r#""size":16"#, r#""size":16,"fabric":"""#] {
+            assert_eq!(key(same_as_mesh), mesh, "{same_as_mesh}");
+        }
+        for fabric in ["cmesh", "cmesh:concentration=4"] {
+            let fields = format!(r#""size":16,"fabric":"{fabric}","scheme":"none""#);
+            assert_eq!(key(&fields), cmesh, "{fabric}");
+        }
+        assert_eq!(
+            key(r#""size":16,"fabric":"express""#),
+            key(r#""size":16,"fabric":"express:ruche=2""#)
+        );
+        assert_ne!(key(r#""size":16,"fabric":"cmesh:c=2""#), cmesh);
+
+        // What used to be dropped or overridden in silence is refused, and
+        // the refusal names the field.
+        for (fabric, says) in [
+            (
+                "torus:mc=edge",
+                "sets mc=, which a cell takes as its own field",
+            ),
+            ("mesh:c=4", "mesh takes no c= parameter"),
+            ("torus:skip=3", "torus takes no skip= parameter"),
+        ] {
+            let fields = format!(r#""size":16,"fabric":"{fabric}""#);
+            let err = CellSpec::from_json(&spec_json(&fields)).unwrap_err();
+            assert!(err.starts_with("cell.fabric: "), "{err}");
+            assert!(err.ends_with(says), "{err}");
+        }
     }
 
     #[test]

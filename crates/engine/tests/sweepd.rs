@@ -142,6 +142,9 @@ fn result_bytes(line: &str) -> &str {
 const CELL: &str =
     r#"{"op":"submit","cell":{"size":4,"workload":2,"warmup":200,"measure":2000},"wait":true}"#;
 
+/// [`CELL`] in other words: the defaults spelled out, through aliases.
+const CELL_RESPELLED: &str = r#"{"op":"submit","cell":{"size":4,"fabric":"","mc":"corner","scheme":"none","workload":2,"warmup":200,"measure":2000},"wait":true}"#;
+
 fn stats_field(stats: &str, field: &str) -> u64 {
     let marker = format!(r#""{field}":"#);
     let (_, tail) = stats
@@ -188,10 +191,11 @@ fn two_clients_one_simulation_identical_bytes() {
         "{computed}"
     );
 
-    // Client 2 submits the identical cell: a pure cache hit, no simulation,
-    // result bytes identical to what client 1 watched being computed.
+    // Client 2 submits the identical cell, spelled differently: a pure cache
+    // hit, no simulation, result bytes identical to what client 1 watched
+    // being computed.
     let mut second = daemon.connect();
-    let hit = second.request(CELL);
+    let hit = second.request(CELL_RESPELLED);
     assert!(hit.contains(r#""status":"cached""#), "{hit}");
     assert_eq!(result_bytes(&hit), computed, "cache must splice verbatim");
 
@@ -513,6 +517,20 @@ fn reply_bytes_are_pinned() {
         (
             r#"{"op":"submit","cell":{"fabric":7}}"#,
             r#"{"ok":false,"error":"cell.fabric must be a string"}"#,
+        ),
+        // A fabric is never partly ignored: `mc=` and parameters the named
+        // fabric does not take are refused, naming the field.
+        (
+            r#"{"op":"submit","cell":{"fabric":"torus:mc=edge"}}"#,
+            r#"{"ok":false,"error":"cell.fabric: \"torus:mc=edge\" sets mc=, which a cell takes as its own field"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":{"fabric":"mesh:c=4"}}"#,
+            r#"{"ok":false,"error":"cell.fabric: mesh takes no c= parameter"}"#,
+        ),
+        (
+            r#"{"op":"submit","cell":{"fabric":"torus:skip=3"}}"#,
+            r#"{"ok":false,"error":"cell.fabric: torus takes no skip= parameter"}"#,
         ),
         (
             r#"{"op":"status"}"#,

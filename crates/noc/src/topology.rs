@@ -1,7 +1,8 @@
 //! Network topologies: node identifiers, coordinates, neighbors, routing,
 //! and the positions where memory controllers attach.
 //!
-//! Four fabrics share one [`Topology`] value (see `DESIGN.md` §13):
+//! Four fabrics share one [`Topology`] value (see `DESIGN.md` §13), built
+//! from the [`TopologyConfig`] that names one:
 //!
 //! * **mesh** — the paper's 2D mesh, bit-identical to the pre-topology
 //!   code (5 ports, dimension-order routing, corner controllers).
@@ -126,171 +127,64 @@ impl Dir {
     }
 }
 
-/// A `width × height` tile grid wired by one of four fabrics.
-///
-/// Constructed via [`Topology::new`] (plain mesh, the historical
-/// constructor), the per-fabric constructors, or [`Topology::from_config`].
+/// A `width × height` tile grid wired by one of four fabrics: a
+/// [`TopologyConfig`] that passed [`TopologyConfig::router_grid`], held with
+/// the router grid that check derived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
-    kind: TopologyKind,
-    width: u16,
-    height: u16,
-    /// Tiles per router (1 except on cmesh).
-    concentration: u16,
-    /// Express skip distance (0 except on express).
-    skip: u16,
+    cfg: TopologyConfig,
+    /// Router-grid dimensions: (columns, rows).
+    routers: (u16, u16),
 }
 
 impl Topology {
-    /// Creates a plain 2D mesh (the historical constructor).
+    /// Creates a plain 2D mesh, the paper's fabric.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// As [`Topology::from_config`]: a mesh is at least 2×2.
     #[must_use]
     pub fn new(width: u16, height: u16) -> Self {
-        assert!(width > 0 && height > 0, "mesh dimensions must be positive");
-        Topology {
-            kind: TopologyKind::Mesh,
-            width,
-            height,
-            concentration: 1,
-            skip: 0,
-        }
-    }
-
-    /// Creates a torus over the same tile grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    #[must_use]
-    pub fn torus(width: u16, height: u16) -> Self {
-        Topology {
-            kind: TopologyKind::Torus,
-            ..Self::new(width, height)
-        }
-    }
-
-    /// Creates a concentrated mesh with `concentration` tiles per router
-    /// (1, 2 → 2×1 blocks, or 4 → 2×2 blocks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor is unsupported or the blocks don't tile the
-    /// grid — [`SystemConfig::validate`](noclat_sim::config::SystemConfig::validate)
-    /// reports these as typed errors before construction.
-    #[must_use]
-    pub fn cmesh(width: u16, height: u16, concentration: u16) -> Self {
-        let t = Topology {
-            kind: TopologyKind::CMesh,
-            concentration,
-            ..Self::new(width, height)
-        };
-        let (cx, cy) = t.block_dims();
-        assert!(
-            width.is_multiple_of(cx) && height.is_multiple_of(cy),
-            "concentration {concentration} does not tile a {width}x{height} grid"
-        );
-        t
-    }
-
-    /// Creates a mesh with express channels skipping `skip` routers.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 ≤ skip < min(width, height)` — validated as a
-    /// typed error at the config layer before construction.
-    #[must_use]
-    pub fn express(width: u16, height: u16, skip: u16) -> Self {
-        assert!(
-            skip >= 2 && skip < width.min(height),
-            "express skip {skip} out of range for {width}x{height}"
-        );
-        Topology {
-            kind: TopologyKind::Express,
-            skip,
-            ..Self::new(width, height)
-        }
+        Self::from_config(&TopologyConfig::mesh(width, height))
     }
 
     /// Builds the fabric a [`TopologyConfig`] describes.
     ///
     /// # Panics
     ///
-    /// Panics on parameter combinations that
+    /// Panics on a geometry [`TopologyConfig::router_grid`] rejects —
     /// [`SystemConfig::validate`](noclat_sim::config::SystemConfig::validate)
-    /// rejects — validate first to get a typed error instead.
+    /// reports the same check as a typed error first.
     #[must_use]
     pub fn from_config(cfg: &TopologyConfig) -> Self {
-        match cfg.kind {
-            TopologyKind::Mesh => Self::new(cfg.width, cfg.height),
-            TopologyKind::Torus => Self::torus(cfg.width, cfg.height),
-            TopologyKind::CMesh => Self::cmesh(cfg.width, cfg.height, cfg.concentration),
-            TopologyKind::Express => Self::express(cfg.width, cfg.height, cfg.express_skip),
+        match cfg.router_grid() {
+            Ok(routers) => Topology { cfg: *cfg, routers },
+            Err(e) => panic!("no fabric for {}: {e}", cfg.label()),
         }
     }
 
-    /// Which fabric this is.
+    /// The geometry this fabric was built from.
     #[must_use]
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
+    pub fn config(&self) -> TopologyConfig {
+        self.cfg
     }
 
     /// Number of tile columns.
     #[must_use]
     pub fn width(&self) -> u16 {
-        self.width
+        self.cfg.width
     }
 
     /// Number of tile rows.
     #[must_use]
     pub fn height(&self) -> u16 {
-        self.height
-    }
-
-    /// Tiles per router (1 except on cmesh).
-    #[must_use]
-    pub fn concentration(&self) -> u16 {
-        self.concentration
-    }
-
-    /// Express skip distance (0 except on express).
-    #[must_use]
-    pub fn express_skip(&self) -> u16 {
-        self.skip
-    }
-
-    /// This fabric as a [`TopologyConfig`] (MC placement defaults to
-    /// `Corner` — placement is a system-level concern the fabric itself
-    /// does not carry).
-    #[must_use]
-    pub fn config(&self) -> TopologyConfig {
-        let mut cfg = match self.kind {
-            TopologyKind::Mesh => TopologyConfig::mesh(self.width, self.height),
-            TopologyKind::Torus => TopologyConfig::torus(self.width, self.height),
-            TopologyKind::CMesh => TopologyConfig::cmesh(self.width, self.height, 1),
-            TopologyKind::Express => TopologyConfig::express(self.width, self.height, 2),
-        };
-        cfg.concentration = self.concentration;
-        cfg.express_skip = self.skip;
-        cfg
+        self.cfg.height
     }
 
     /// Tile-block dimensions per router: (columns, rows).
     fn block_dims(&self) -> (u16, u16) {
-        match self.concentration {
-            1 => (1, 1),
-            2 => (2, 1),
-            4 => (2, 2),
-            c => panic!("unsupported concentration factor {c}"),
-        }
-    }
-
-    /// Router-grid dimensions: (columns, rows).
-    fn router_dims(&self) -> (u16, u16) {
-        let (cx, cy) = self.block_dims();
-        (self.width / cx, self.height / cy)
+        let (rw, rh) = self.routers;
+        (self.cfg.width / rw, self.cfg.height / rh)
     }
 
     // -- tile space ------------------------------------------------------
@@ -298,7 +192,7 @@ impl Topology {
     /// Total tile count (`width × height`) — one core per tile.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        usize::from(self.width) * usize::from(self.height)
+        usize::from(self.cfg.width) * usize::from(self.cfg.height)
     }
 
     /// Tile at a coordinate (row-major).
@@ -308,8 +202,11 @@ impl Topology {
     /// Panics if the coordinate is outside the grid.
     #[must_use]
     pub fn node_at(&self, c: Coord) -> NodeId {
-        assert!(c.x < self.width && c.y < self.height, "coord out of mesh");
-        NodeId(c.y * self.width + c.x)
+        assert!(
+            c.x < self.cfg.width && c.y < self.cfg.height,
+            "coord out of mesh"
+        );
+        NodeId(c.y * self.cfg.width + c.x)
     }
 
     /// Coordinate of a tile.
@@ -321,8 +218,8 @@ impl Topology {
     pub fn coord_of(&self, n: NodeId) -> Coord {
         assert!(n.index() < self.num_nodes(), "node out of mesh");
         Coord {
-            x: n.0 % self.width,
-            y: n.0 / self.width,
+            x: n.0 % self.cfg.width,
+            y: n.0 / self.cfg.width,
         }
     }
 
@@ -336,7 +233,7 @@ impl Topology {
     /// Total router count (`num_nodes / concentration`).
     #[must_use]
     pub fn num_routers(&self) -> usize {
-        self.num_nodes() / usize::from(self.concentration)
+        self.num_nodes() / usize::from(self.cfg.concentration)
     }
 
     /// The router serving a tile. Identity on every fabric except cmesh.
@@ -346,13 +243,13 @@ impl Topology {
     /// Panics if the tile id is outside the grid.
     #[must_use]
     pub fn router_of(&self, tile: NodeId) -> NodeId {
-        if self.concentration == 1 {
+        if self.cfg.concentration == 1 {
             assert!(tile.index() < self.num_nodes(), "node out of mesh");
             return tile;
         }
         let c = self.coord_of(tile);
         let (cx, cy) = self.block_dims();
-        let (rw, _) = self.router_dims();
+        let (rw, _) = self.routers;
         NodeId((c.y / cy) * rw + (c.x / cx))
     }
 
@@ -364,7 +261,7 @@ impl Topology {
     #[must_use]
     pub fn router_coord(&self, r: NodeId) -> Coord {
         assert!(r.index() < self.num_routers(), "router out of grid");
-        let (rw, _) = self.router_dims();
+        let (rw, _) = self.routers;
         Coord {
             x: r.0 % rw,
             y: r.0 / rw,
@@ -373,7 +270,7 @@ impl Topology {
 
     /// Router at a router-grid coordinate.
     fn router_at(&self, c: Coord) -> NodeId {
-        let (rw, rh) = self.router_dims();
+        let (rw, rh) = self.routers;
         assert!(c.x < rw && c.y < rh, "router coord out of grid");
         NodeId(c.y * rw + c.x)
     }
@@ -388,7 +285,7 @@ impl Topology {
     /// Ports per router: 5 on mesh/torus/cmesh, 9 on express.
     #[must_use]
     pub fn num_ports(&self) -> usize {
-        match self.kind {
+        match self.cfg.kind {
             TopologyKind::Express => Dir::EXPRESS_ALL.len(),
             _ => Dir::ALL.len(),
         }
@@ -397,7 +294,7 @@ impl Topology {
     /// The ports of this fabric, in port-index order.
     #[must_use]
     pub fn ports(&self) -> &'static [Dir] {
-        match self.kind {
+        match self.cfg.kind {
             TopologyKind::Express => &Dir::EXPRESS_ALL,
             _ => &Dir::ALL,
         }
@@ -407,71 +304,72 @@ impl Topology {
     /// exists. Wraparound on torus; `±skip` jumps on the express ports.
     #[must_use]
     pub fn neighbor(&self, n: NodeId, d: Dir) -> Option<NodeId> {
-        let (rw, rh) = self.router_dims();
+        let (rw, rh) = self.routers;
         let c = self.router_coord(n);
-        let wrap = self.kind == TopologyKind::Torus;
-        let nc =
-            match d {
-                Dir::North => {
-                    if c.y > 0 {
-                        Some(Coord { x: c.x, y: c.y - 1 })
-                    } else if wrap && rh > 1 {
-                        Some(Coord { x: c.x, y: rh - 1 })
-                    } else {
-                        None
-                    }
+        let wrap = self.cfg.kind == TopologyKind::Torus;
+        let nc = match d {
+            Dir::North => {
+                if c.y > 0 {
+                    Some(Coord { x: c.x, y: c.y - 1 })
+                } else if wrap && rh > 1 {
+                    Some(Coord { x: c.x, y: rh - 1 })
+                } else {
+                    None
                 }
-                Dir::South => {
-                    if c.y + 1 < rh {
-                        Some(Coord { x: c.x, y: c.y + 1 })
-                    } else if wrap && rh > 1 {
-                        Some(Coord { x: c.x, y: 0 })
-                    } else {
-                        None
-                    }
+            }
+            Dir::South => {
+                if c.y + 1 < rh {
+                    Some(Coord { x: c.x, y: c.y + 1 })
+                } else if wrap && rh > 1 {
+                    Some(Coord { x: c.x, y: 0 })
+                } else {
+                    None
                 }
-                Dir::East => {
-                    if c.x + 1 < rw {
-                        Some(Coord { x: c.x + 1, y: c.y })
-                    } else if wrap && rw > 1 {
-                        Some(Coord { x: 0, y: c.y })
-                    } else {
-                        None
-                    }
+            }
+            Dir::East => {
+                if c.x + 1 < rw {
+                    Some(Coord { x: c.x + 1, y: c.y })
+                } else if wrap && rw > 1 {
+                    Some(Coord { x: 0, y: c.y })
+                } else {
+                    None
                 }
-                Dir::West => {
-                    if c.x > 0 {
-                        Some(Coord { x: c.x - 1, y: c.y })
-                    } else if wrap && rw > 1 {
-                        Some(Coord { x: rw - 1, y: c.y })
-                    } else {
-                        None
-                    }
+            }
+            Dir::West => {
+                if c.x > 0 {
+                    Some(Coord { x: c.x - 1, y: c.y })
+                } else if wrap && rw > 1 {
+                    Some(Coord { x: rw - 1, y: c.y })
+                } else {
+                    None
                 }
-                Dir::Local => None,
-                Dir::ExpressNorth => {
-                    (self.kind == TopologyKind::Express && c.y >= self.skip).then(|| Coord {
-                        x: c.x,
-                        y: c.y - self.skip,
-                    })
-                }
-                Dir::ExpressSouth => (self.kind == TopologyKind::Express && c.y + self.skip < rh)
-                    .then(|| Coord {
-                        x: c.x,
-                        y: c.y + self.skip,
-                    }),
-                Dir::ExpressEast => (self.kind == TopologyKind::Express && c.x + self.skip < rw)
-                    .then(|| Coord {
-                        x: c.x + self.skip,
-                        y: c.y,
-                    }),
-                Dir::ExpressWest => {
-                    (self.kind == TopologyKind::Express && c.x >= self.skip).then(|| Coord {
-                        x: c.x - self.skip,
-                        y: c.y,
-                    })
-                }
-            };
+            }
+            Dir::Local => None,
+            Dir::ExpressNorth => (self.cfg.kind == TopologyKind::Express
+                && c.y >= self.cfg.express_skip)
+                .then(|| Coord {
+                    x: c.x,
+                    y: c.y - self.cfg.express_skip,
+                }),
+            Dir::ExpressSouth => (self.cfg.kind == TopologyKind::Express
+                && c.y + self.cfg.express_skip < rh)
+                .then(|| Coord {
+                    x: c.x,
+                    y: c.y + self.cfg.express_skip,
+                }),
+            Dir::ExpressEast => (self.cfg.kind == TopologyKind::Express
+                && c.x + self.cfg.express_skip < rw)
+                .then(|| Coord {
+                    x: c.x + self.cfg.express_skip,
+                    y: c.y,
+                }),
+            Dir::ExpressWest => (self.cfg.kind == TopologyKind::Express
+                && c.x >= self.cfg.express_skip)
+                .then(|| Coord {
+                    x: c.x - self.cfg.express_skip,
+                    y: c.y,
+                }),
+        };
         nc.map(|c| self.router_at(c))
     }
 
@@ -520,10 +418,10 @@ impl Topology {
 
     /// The step to take in one dimension, per fabric.
     fn dim_step(&self, from: u16, to: u16, size: u16, pos: Dir, neg: Dir) -> Option<Dir> {
-        match self.kind {
+        match self.cfg.kind {
             TopologyKind::Mesh | TopologyKind::CMesh => Self::mesh_step(from, to, pos, neg),
             TopologyKind::Torus => Self::ring_step(from, to, size, pos, neg),
-            TopologyKind::Express => Self::express_step(from, to, self.skip, pos, neg),
+            TopologyKind::Express => Self::express_step(from, to, self.cfg.express_skip, pos, neg),
         }
     }
 
@@ -532,7 +430,7 @@ impl Topology {
     /// `here` is the router serving `dest`.
     #[must_use]
     pub fn xy_route(&self, here: NodeId, dest: NodeId) -> Dir {
-        let (rw, rh) = self.router_dims();
+        let (rw, rh) = self.routers;
         let h = self.router_coord(here);
         let d = self.router_coord(self.router_of(dest));
         self.dim_step(h.x, d.x, rw, Dir::East, Dir::West)
@@ -543,7 +441,7 @@ impl Topology {
     /// Y-X dimension-order routing (rows first).
     #[must_use]
     pub fn yx_route(&self, here: NodeId, dest: NodeId) -> Dir {
-        let (rw, rh) = self.router_dims();
+        let (rw, rh) = self.routers;
         let h = self.router_coord(here);
         let d = self.router_coord(self.router_of(dest));
         self.dim_step(h.y, d.y, rh, Dir::South, Dir::North)
@@ -564,16 +462,16 @@ impl Topology {
     /// `b` — exactly the hops the deterministic route takes.
     #[must_use]
     pub fn hop_distance(&self, a: NodeId, b: NodeId) -> u32 {
-        let (rw, rh) = self.router_dims();
+        let (rw, rh) = self.routers;
         let ca = self.router_coord(self.router_of(a));
         let cb = self.router_coord(self.router_of(b));
         let dx = u32::from(ca.x.abs_diff(cb.x));
         let dy = u32::from(ca.y.abs_diff(cb.y));
-        match self.kind {
+        match self.cfg.kind {
             TopologyKind::Mesh | TopologyKind::CMesh => dx + dy,
             TopologyKind::Torus => dx.min(u32::from(rw) - dx) + dy.min(u32::from(rh) - dy),
             TopologyKind::Express => {
-                let skip = u32::from(self.skip);
+                let skip = u32::from(self.cfg.express_skip);
                 (dx / skip + dx % skip) + (dy / skip + dy % skip)
             }
         }
@@ -633,10 +531,10 @@ impl Topology {
     /// `proptest_network::torus_dateline_dependencies_are_acyclic`).
     #[must_use]
     pub fn vc_subclass(&self, here: NodeId, dest: NodeId, d: Dir) -> Option<u8> {
-        if self.kind != TopologyKind::Torus {
+        if self.cfg.kind != TopologyKind::Torus {
             return None;
         }
-        let (rw, rh) = self.router_dims();
+        let (rw, rh) = self.routers;
         let h = self.router_coord(here);
         let t = self.router_coord(self.router_of(dest));
         let (p, target, size, positive) = match d {
@@ -672,16 +570,16 @@ impl Topology {
     pub fn corner_nodes(&self, count: usize) -> Vec<NodeId> {
         let nw = self.node_at(Coord { x: 0, y: 0 });
         let ne = self.node_at(Coord {
-            x: self.width - 1,
+            x: self.cfg.width - 1,
             y: 0,
         });
         let sw = self.node_at(Coord {
             x: 0,
-            y: self.height - 1,
+            y: self.cfg.height - 1,
         });
         let se = self.node_at(Coord {
-            x: self.width - 1,
-            y: self.height - 1,
+            x: self.cfg.width - 1,
+            y: self.cfg.height - 1,
         });
         match count {
             1 => vec![nw],
@@ -705,20 +603,20 @@ impl Topology {
             McPlacement::Corner => self.corner_nodes(count),
             McPlacement::Edge => {
                 let top = self.node_at(Coord {
-                    x: self.width / 2,
+                    x: self.cfg.width / 2,
                     y: 0,
                 });
                 let bottom = self.node_at(Coord {
-                    x: self.width / 2,
-                    y: self.height - 1,
+                    x: self.cfg.width / 2,
+                    y: self.cfg.height - 1,
                 });
                 let left = self.node_at(Coord {
                     x: 0,
-                    y: self.height / 2,
+                    y: self.cfg.height / 2,
                 });
                 let right = self.node_at(Coord {
-                    x: self.width - 1,
-                    y: self.height / 2,
+                    x: self.cfg.width - 1,
+                    y: self.cfg.height / 2,
                 });
                 match count {
                     1 => vec![top],
@@ -728,7 +626,7 @@ impl Topology {
                 }
             }
             McPlacement::Center => {
-                let (cx, cy) = (self.width / 2, self.height / 2);
+                let (cx, cy) = (self.cfg.width / 2, self.cfg.height / 2);
                 let block = [
                     Coord {
                         x: cx - 1,
@@ -889,7 +787,7 @@ mod tests {
 
     #[test]
     fn torus_wraps_and_routes_shortest() {
-        let t = Topology::torus(8, 4);
+        let t = Topology::from_config(&TopologyConfig::torus(8, 4));
         let nw = t.node_at(Coord { x: 0, y: 0 });
         // Wraparound links exist at the edges.
         assert_eq!(t.neighbor(nw, Dir::West), Some(NodeId(7)));
@@ -908,7 +806,7 @@ mod tests {
 
     #[test]
     fn torus_dateline_subclass_transitions_once() {
-        let t = Topology::torus(8, 4);
+        let t = Topology::from_config(&TopologyConfig::torus(8, 4));
         // Route 6 → 1 goes east across the wrap edge: subclass 0 while the
         // wrap is still ahead, subclass 1 from the wrap hop onward.
         let src = t.node_at(Coord { x: 6, y: 0 });
@@ -931,7 +829,7 @@ mod tests {
 
     #[test]
     fn cmesh_shares_routers_between_tiles() {
-        let t = Topology::cmesh(8, 4, 4);
+        let t = Topology::from_config(&TopologyConfig::cmesh(8, 4, 4));
         assert_eq!(t.num_nodes(), 32, "tile grid unchanged");
         assert_eq!(t.num_routers(), 8, "2x2 blocks quarter the routers");
         // Tiles (0,0), (1,0), (0,1), (1,1) share router 0.
@@ -949,7 +847,7 @@ mod tests {
         assert_eq!(t.xy_route(NodeId(0), dst), Dir::Local);
         assert_eq!(t.hop_distance(t.node_at(Coord { x: 0, y: 0 }), dst), 0);
         // c=1 degenerates to the identity mapping.
-        let id = Topology::cmesh(8, 4, 1);
+        let id = Topology::from_config(&TopologyConfig::cmesh(8, 4, 1));
         assert_eq!(id.num_routers(), 32);
         for n in id.nodes() {
             assert_eq!(id.router_of(n), n);
@@ -958,7 +856,7 @@ mod tests {
 
     #[test]
     fn express_channels_skip_routers() {
-        let t = Topology::express(8, 8, 2);
+        let t = Topology::from_config(&TopologyConfig::express(8, 8, 2));
         assert_eq!(t.num_ports(), 9);
         assert_eq!(t.ports().len(), 9);
         let origin = t.node_at(Coord { x: 0, y: 0 });
@@ -1006,9 +904,9 @@ mod tests {
     fn route_channels_matches_hop_distance_on_every_fabric() {
         let fabrics = [
             Topology::new(8, 4),
-            Topology::torus(8, 8),
-            Topology::cmesh(8, 8, 4),
-            Topology::express(8, 8, 2),
+            Topology::from_config(&TopologyConfig::torus(8, 8)),
+            Topology::from_config(&TopologyConfig::cmesh(8, 8, 4)),
+            Topology::from_config(&TopologyConfig::express(8, 8, 2)),
         ];
         for t in fabrics {
             for algo in [RoutingAlgorithm::XY, RoutingAlgorithm::YX] {
@@ -1020,13 +918,13 @@ mod tests {
                             *path.last().unwrap(),
                             (t.router_of(dest), Dir::Local),
                             "{:?} {src:?}->{dest:?}",
-                            t.kind()
+                            t.config().kind
                         );
                         assert_eq!(
                             path.len() as u32 - 1,
                             t.hop_distance(src, dest),
                             "{:?} {algo:?} {src:?}->{dest:?}",
-                            t.kind()
+                            t.config().kind
                         );
                         // Consecutive channels are link-connected.
                         for w in path.windows(2) {
@@ -1044,16 +942,16 @@ mod tests {
         let m = Topology::from_config(&TopologyConfig::mesh(8, 4));
         assert_eq!(m, Topology::new(8, 4));
         assert_eq!(
-            Topology::from_config(&TopologyConfig::torus(8, 4)).kind(),
+            Topology::from_config(&TopologyConfig::torus(8, 4))
+                .config()
+                .kind,
             TopologyKind::Torus
         );
         assert_eq!(
             Topology::from_config(&TopologyConfig::cmesh(8, 4, 2)).num_routers(),
             16
         );
-        assert_eq!(
-            Topology::from_config(&TopologyConfig::express(8, 8, 3)).express_skip(),
-            3
-        );
+        let express = TopologyConfig::express(8, 8, 3);
+        assert_eq!(Topology::from_config(&express).config(), express);
     }
 }

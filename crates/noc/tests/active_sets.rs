@@ -12,7 +12,7 @@
 
 use noclat_noc::{Network, NodeId, Priority, Topology, VNet};
 use noclat_sim::check::{self, range_u64};
-use noclat_sim::config::SystemConfig;
+use noclat_sim::config::{SystemConfig, TopologyConfig};
 use noclat_sim::faults::{CycleWindow, FaultPlan, LinkFault, RouterStall};
 use noclat_sim::rng::SimRng;
 use noclat_sim::Cycle;
@@ -160,9 +160,9 @@ fn drive(
 fn skipping_idle_cycles_changes_nothing_on_any_fabric_under_any_fault() {
     let fabrics = [
         Topology::new(8, 4),
-        Topology::torus(8, 4),
-        Topology::cmesh(8, 4, 2),
-        Topology::express(8, 8, 2),
+        Topology::from_config(&TopologyConfig::torus(8, 4)),
+        Topology::from_config(&TopologyConfig::cmesh(8, 4, 2)),
+        Topology::from_config(&TopologyConfig::express(8, 8, 2)),
     ];
     let scenarios = [
         Scenario::Healthy,
@@ -194,7 +194,7 @@ fn skipping_idle_cycles_changes_nothing_on_any_fabric_under_any_fault() {
 #[test]
 fn drained_network_reports_idle_and_its_counters_agree() {
     check::cases(4, |rng| {
-        let topo = Topology::torus(8, 4);
+        let topo = Topology::from_config(&TopologyConfig::torus(8, 4));
         let injections = random_injections(rng, 32);
         let mut net = build(topo, Scenario::Healthy, rng);
         let delivered = drive(&mut net, &injections, true);

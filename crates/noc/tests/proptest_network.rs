@@ -4,7 +4,7 @@
 
 use noclat_noc::{flits_for_payload, Dir, Network, NodeId, Priority, Topology, VNet};
 use noclat_sim::check::{self, pick, range_u64};
-use noclat_sim::config::{RouterPipeline, RoutingAlgorithm, SystemConfig};
+use noclat_sim::config::{RouterPipeline, RoutingAlgorithm, SystemConfig, TopologyConfig};
 use noclat_sim::rng::SimRng;
 
 /// One injected packet description.
@@ -217,15 +217,15 @@ fn all_fabrics() -> Vec<Topology> {
     vec![
         Topology::new(8, 4),
         Topology::new(16, 16),
-        Topology::torus(8, 4),
-        Topology::torus(5, 5),
-        Topology::torus(16, 16),
-        Topology::cmesh(8, 4, 2),
-        Topology::cmesh(8, 8, 4),
-        Topology::cmesh(16, 16, 4),
-        Topology::express(8, 8, 2),
-        Topology::express(16, 16, 2),
-        Topology::express(16, 16, 5),
+        Topology::from_config(&TopologyConfig::torus(8, 4)),
+        Topology::from_config(&TopologyConfig::torus(5, 5)),
+        Topology::from_config(&TopologyConfig::torus(16, 16)),
+        Topology::from_config(&TopologyConfig::cmesh(8, 4, 2)),
+        Topology::from_config(&TopologyConfig::cmesh(8, 8, 4)),
+        Topology::from_config(&TopologyConfig::cmesh(16, 16, 4)),
+        Topology::from_config(&TopologyConfig::express(8, 8, 2)),
+        Topology::from_config(&TopologyConfig::express(16, 16, 2)),
+        Topology::from_config(&TopologyConfig::express(16, 16, 5)),
     ]
 }
 
@@ -333,9 +333,9 @@ fn neighbor_links_are_symmetric() {
 fn torus_dateline_discipline_never_forms_a_cycle() {
     use std::collections::{HashMap, HashSet};
     for topo in [
-        Topology::torus(4, 4),
-        Topology::torus(5, 3),
-        Topology::torus(8, 8),
+        Topology::from_config(&TopologyConfig::torus(4, 4)),
+        Topology::from_config(&TopologyConfig::torus(5, 3)),
+        Topology::from_config(&TopologyConfig::torus(8, 8)),
     ] {
         let label = topo.config().label();
         // Channel = (router, mesh dir, dateline subclass), densely numbered.
