@@ -269,6 +269,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noclat_sim::config::TopologyConfig;
     use noclat_workloads::workload;
 
     fn apps() -> Vec<SpecApp> {
@@ -289,8 +290,15 @@ mod tests {
     #[test]
     fn build_rejects_invalid_configurations() {
         type Corrupt = fn(&mut SystemConfig);
-        let table: [(&str, Corrupt); 13] = [
+        let table: [(&str, Corrupt); 16] = [
             ("buffer depth is zero", |c| c.noc.buffer_depth = 0),
+            // A router's input VCs are one 128-bit set and VC ids one byte.
+            ("noc.vcs_per_port = 258", |c| c.noc.vcs_per_port = 258),
+            ("noc.vcs_per_port = 16", |c| {
+                c.topology = TopologyConfig::express(8, 4, 2);
+                c.noc.vcs_per_port = 16;
+            }),
+            ("noc.buffer_depth = 256", |c| c.noc.buffer_depth = 256),
             ("cpu.window_size = 0", |c| c.cpu.window_size = 0),
             ("cpu.lsq_size = 0", |c| c.cpu.lsq_size = 0),
             ("cpu.issue_width = 0", |c| c.cpu.issue_width = 0),
@@ -324,6 +332,12 @@ mod tests {
                 Err(_) => panic!("{says}: build() panicked"),
             }
         }
+        // The widest router that fits: 9 ports x 8 VCs = 72 input VCs.
+        let mut express = SystemConfig::baseline_32();
+        express.topology = TopologyConfig::express(8, 4, 2);
+        express.noc.vcs_per_port = 8;
+        let built = Simulation::builder(express).workload(&apps()).build();
+        assert!(built.is_ok(), "express with 8 VCs: {:?}", built.err());
     }
 
     #[test]

@@ -1,10 +1,90 @@
-//! A fixed-capacity set of small indices, walked in ascending order.
+//! Sets of small indices, walked in ascending order.
 //!
 //! The hot path keeps one of these for every "who holds work" question —
-//! which input VCs of a router wait for which pipeline stage, which routers
-//! buffer flits, which wires carry something — so a cycle touches only the
-//! members instead of scanning every component. Ascending iteration is what
-//! keeps arbitration and wire ordering identical to a full index scan.
+//! which routers buffer flits, which wires carry something, which input VCs
+//! of a router wait for which pipeline stage or event — so a cycle touches
+//! only the members instead of scanning every component. Ascending
+//! iteration is what keeps arbitration and wire ordering identical to a
+//! full index scan. Network-wide sets are a boxed [`BitSet`]; a router's
+//! sets fit one inline [`Bits`] word each.
+
+/// An inline set over `0..Bits::CAPACITY`: a router's input VCs (whose
+/// count `SystemConfig::validate` bounds by the capacity) or its ports.
+/// Iterating walks a copy, so the loop body may mutate the set it came from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Bits(u128);
+
+impl Bits {
+    /// Indices one word holds.
+    pub(crate) const CAPACITY: usize = u128::BITS as usize;
+
+    pub(crate) fn insert(&mut self, i: usize) {
+        self.0 |= 1 << i;
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.0 &= !(1 << i);
+    }
+
+    pub(crate) fn contains(self, i: usize) -> bool {
+        self.0 & (1 << i) != 0
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The only member, if there is exactly one.
+    pub(crate) fn sole(self) -> Option<usize> {
+        if self.0.is_power_of_two() {
+            Some(self.0.trailing_zeros() as usize)
+        } else {
+            None
+        }
+    }
+
+    /// Moves every member of `other` into this set.
+    pub(crate) fn absorb(&mut self, other: Bits) {
+        self.0 |= other.0;
+    }
+
+    /// Whether the two sets share a member.
+    pub(crate) fn overlaps(self, other: Bits) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// The members in `lo..lo + len`, shifted down by `lo`.
+    pub(crate) fn window(self, lo: usize, len: usize) -> Bits {
+        Bits((self.0 >> lo) & Self::low_mask(len))
+    }
+
+    /// The smallest index in `lo..hi` that is *not* a member.
+    pub(crate) fn first_absent(self, lo: usize, hi: usize) -> Option<usize> {
+        Bits(!self.0 & (Self::low_mask(hi - lo) << lo)).next()
+    }
+
+    fn low_mask(len: usize) -> u128 {
+        if len == 0 {
+            0
+        } else {
+            u128::MAX >> (Self::CAPACITY - len)
+        }
+    }
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    /// Removes and returns the smallest member.
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(i)
+    }
+}
 
 /// A set over `0..capacity`, one bit per index.
 #[derive(Debug, Clone, Default)]
@@ -76,6 +156,33 @@ mod tests {
         s.remove(64);
         assert_eq!(s.first_from(64), Some(130));
         assert_eq!(s.first_from(200), None);
+    }
+
+    #[test]
+    fn inline_bits_walk_ascending_and_window_by_port() {
+        let mut s = Bits::default();
+        for i in [127, 3, 64, 9, 63] {
+            s.insert(i);
+        }
+        assert_eq!(s.collect::<Vec<_>>(), vec![3, 9, 63, 64, 127]);
+        assert!(s.contains(64) && !s.contains(65));
+        assert_eq!(s.sole(), None);
+        assert_eq!(s.window(60, 4).sole(), Some(3));
+        assert_eq!(Bits::default().sole(), None);
+        // The members of "port" 2 of 4-wide ports: 8..12, shifted down.
+        assert_eq!(s.window(8, 4).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(s.window(0, 128), s);
+        assert!(s.window(10, 0).is_empty());
+        assert_eq!(s.first_absent(62, 66), Some(62));
+        s.insert(62);
+        assert_eq!(s.first_absent(62, 66), Some(65));
+        assert_eq!(s.first_absent(63, 65), None);
+        let mut t = Bits::default();
+        assert!(!t.overlaps(s));
+        t.absorb(s);
+        assert!(t.overlaps(s));
+        t.remove(127);
+        assert_eq!(t.collect::<Vec<_>>(), vec![3, 9, 62, 63, 64]);
     }
 
     #[test]

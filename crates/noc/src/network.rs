@@ -1,4 +1,4 @@
-//! The mesh network: routers, links, credit wires, injection queues and
+//! The mesh network: routers, links, credit returns, injection queues and
 //! ejection (packet reassembly).
 //!
 //! [`Network`] is generic over the payload type `P`; payloads are held in a
@@ -230,11 +230,11 @@ const NO_LINK: u32 = u32::MAX;
 /// The mesh network.
 ///
 /// A cycle visits only components that hold work: the `busy_*` sets and
-/// `mailed` name exactly the routers buffering flits, the wires and credit
-/// wires with items in flight, the injectors with packets left to stream
-/// and the tiles with undelivered mail. They are walked in ascending index
-/// order, so arbitration, wire and delivery order equal a scan of
-/// everything (`DESIGN.md` §16).
+/// `mailed` name exactly the routers buffering flits, the wires with flits
+/// in flight, the injectors with packets left to stream and the tiles with
+/// undelivered mail. They are walked in ascending index order, so
+/// arbitration, wire and delivery order equal a scan of everything
+/// (`DESIGN.md` §16). Credits need no per-link state: see `credits_due`.
 #[derive(Debug)]
 pub struct Network<P> {
     mesh: Topology,
@@ -247,15 +247,23 @@ pub struct Network<P> {
     scratch: RouterScratch,
     /// In-flight flits per (router, input port): `(arrival_cycle, flit)`.
     wires: Vec<VecDeque<(Cycle, Flit)>>,
-    /// In-flight credits per (router, output port): `(arrival_cycle, vc)`.
-    credit_wires: Vec<VecDeque<(Cycle, u8)>>,
     busy_wires: BitSet,
-    busy_credit_wires: BitSet,
+    /// Credits the routers freed this cycle, as `(upstream router *
+    /// num_ports + output port, vc)`.
+    credits_sent: Vec<(u32, u8)>,
+    /// Credits sent on the previous router cycle, which `deliver_wires`
+    /// applies next. Every credit takes exactly one cycle and increments
+    /// commute, so this one double-buffered pair serves every link.
+    credits_due: Vec<(u32, u8)>,
+    /// The cycle `credits_due` lands on.
+    credits_due_at: Cycle,
+    /// Scratch of the debug-build credit audit (`check_active_sets`).
+    credit_audit: Vec<usize>,
     /// Far end of the link at each `router * num_ports + port` slot: the
     /// neighbour's input wire for a flit leaving through `port`, which is
-    /// also the upstream router's credit wire for a credit freed at input
-    /// `port`. Built once, so a hop or a credit costs one load instead of
-    /// `mesh.neighbor()`'s coordinate arithmetic.
+    /// also the upstream `(router, output port)` a credit freed at input
+    /// `port` returns to. Built once, so a hop or a credit costs one load
+    /// instead of `mesh.neighbor()`'s coordinate arithmetic.
     link_peer: Vec<u32>,
     injectors: Vec<Injector>,
     busy_injectors: BitSet,
@@ -329,9 +337,11 @@ impl<P> Network<P> {
             busy_routers: BitSet::new(n),
             scratch: RouterScratch::default(),
             wires: (0..n * ports).map(|_| VecDeque::new()).collect(),
-            credit_wires: (0..n * ports).map(|_| VecDeque::new()).collect(),
             busy_wires: BitSet::new(n * ports),
-            busy_credit_wires: BitSet::new(n * ports),
+            credits_sent: Vec::new(),
+            credits_due: Vec::new(),
+            credits_due_at: 0,
+            credit_audit: Vec::new(),
             link_peer,
             injectors: (0..n).map(|_| Injector::new(cfg.vcs_per_port)).collect(),
             busy_injectors: BitSet::new(n),
@@ -415,19 +425,17 @@ impl<P> Network<P> {
     /// clock dividers and stall faults make the precise next-progress cycle
     /// expensive to predict, and a whole-system skip only happens when every
     /// component is quiet anyway. With all of those empty, the only latent
-    /// events are flits and credits still travelling on wires; skipping past
-    /// a credit's arrival would make the first post-skip arbitration see
-    /// stale credit state, so wire fronts are exact wake-ups.
+    /// events are flits still travelling on wires and credits still due;
+    /// skipping past a credit's arrival would make the first post-skip
+    /// arbitration see stale credit state, so wire fronts and the credits'
+    /// landing cycle are exact wake-ups.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.busy_injectors.is_empty() || !self.busy_routers.is_empty() {
             return Some(now);
         }
         let flits = self.busy_wires.iter().map(|w| self.wires[w][0].0);
-        let credits = self
-            .busy_credit_wires
-            .iter()
-            .map(|w| self.credit_wires[w][0].0);
+        let credits = (!self.credits_due.is_empty()).then_some(self.credits_due_at);
         flits.chain(credits).min().map(|t| t.max(now))
     }
 
@@ -585,16 +593,17 @@ impl<P> Network<P> {
         self.router_step(now, observer);
         self.deliver_wires(now);
         if cfg!(debug_assertions) {
-            self.check_active_sets();
+            self.check_active_sets(now);
         }
     }
 
-    /// The membership rules of the active sets and the running counts,
-    /// checked against a scan of everything (debug builds, once per tick).
-    fn check_active_sets(&self) {
+    /// The membership rules of the active sets, the running counts, each
+    /// router's stage and parked sets and credit conservation, checked
+    /// against a scan of everything (debug builds, once per tick).
+    fn check_active_sets(&mut self, now: Cycle) {
         for (r, router) in self.routers.iter().enumerate() {
-            let buffered = router.buffered_flits();
-            assert_eq!(router.occupancy(), buffered, "router {r}: occupancy");
+            router.check_invariants(now);
+            let buffered = router.occupancy();
             assert_eq!(
                 self.busy_routers.contains(r),
                 buffered > 0,
@@ -616,12 +625,8 @@ impl<P> Network<P> {
                 !self.wires[w].is_empty(),
                 "wire {w}: busy-set membership"
             );
-            assert_eq!(
-                self.busy_credit_wires.contains(w),
-                !self.credit_wires[w].is_empty(),
-                "credit wire {w}: busy-set membership"
-            );
         }
+        self.check_credit_conservation();
         for (tile, inbox) in self.inboxes.iter().enumerate() {
             assert_eq!(
                 self.mailed.contains(tile),
@@ -636,7 +641,47 @@ impl<P> Network<P> {
         );
     }
 
-    /// Moves arrived flits and credits from the wires into the routers.
+    /// Credits are conserved per link and VC: the upstream router's credits,
+    /// the credits due back to it, the flits on the wire and the flits in
+    /// the downstream buffer add up to `buffer_depth` — under faults too,
+    /// since a dropped flit refunds its credit.
+    fn check_credit_conservation(&mut self) {
+        let (ports, v) = (self.mesh.num_ports(), self.cfg.vcs_per_port);
+        // Per `(upstream router * ports + output port) * vcs + vc`; the
+        // buffer is kept so that a tick allocates nothing after the first.
+        let mut held = std::mem::take(&mut self.credit_audit);
+        held.clear();
+        held.resize(self.link_peer.len() * v, 0);
+        for &(up, vc) in self.credits_due.iter().chain(&self.credits_sent) {
+            held[up as usize * v + usize::from(vc)] += 1;
+        }
+        for (up, &wire) in self.link_peer.iter().enumerate() {
+            if wire == NO_LINK {
+                continue;
+            }
+            let wire = wire as usize;
+            for (_, flit) in &self.wires[wire] {
+                held[up * v + usize::from(flit.vc)] += 1;
+            }
+            let (router, down) = (&self.routers[up / ports], &self.routers[wire / ports]);
+            let (out_port, in_port) = (up % ports, wire % ports);
+            for vc in 0..v {
+                let total = held[up * v + vc]
+                    + router.credit(out_port * v + vc) as usize
+                    + down.buffered(in_port * v + vc);
+                assert_eq!(
+                    total,
+                    self.cfg.buffer_depth,
+                    "credits of router {} port {out_port} VC {vc} are not conserved",
+                    up / ports
+                );
+            }
+        }
+        self.credit_audit = held;
+    }
+
+    /// Moves arrived flits from the wires into the routers, and applies the
+    /// credits sent on an earlier cycle.
     fn deliver_wires(&mut self, now: Cycle) {
         let ports = self.mesh.num_ports();
         let port_dirs = self.mesh.ports();
@@ -654,18 +699,14 @@ impl<P> Network<P> {
                 self.busy_wires.remove(slot);
             }
         }
-        let mut next = self.busy_credit_wires.first_from(0);
-        while let Some(slot) = next {
-            next = self.busy_credit_wires.first_from(slot + 1);
-            let (node, dir) = (slot / ports, port_dirs[slot % ports]);
-            let cw = &mut self.credit_wires[slot];
-            while cw.front().is_some_and(|&(t, _)| t <= now) {
-                let (_, vc) = cw.pop_front().expect("checked front");
-                self.routers[node].apply_credit(dir, vc);
-            }
-            if cw.is_empty() {
-                self.busy_credit_wires.remove(slot);
-            }
+        // Sent on a cycle before `now`, so due by now.
+        for (slot, vc) in self.credits_due.drain(..) {
+            let (node, dir) = (slot as usize / ports, port_dirs[slot as usize % ports]);
+            self.routers[node].apply_credit(dir, vc);
+        }
+        if !self.credits_sent.is_empty() {
+            std::mem::swap(&mut self.credits_due, &mut self.credits_sent);
+            self.credits_due_at = now + 1;
         }
     }
 
@@ -845,10 +886,9 @@ impl<P> Network<P> {
                 if cr.in_port == Dir::Local {
                     continue; // injector reads buffer occupancy directly
                 }
-                let wire = self.link_peer[node * ports + cr.in_port.index()];
-                assert_ne!(wire, NO_LINK, "credit goes to an existing neighbor");
-                self.credit_wires[wire as usize].push_back((now + 1, cr.vc));
-                self.busy_credit_wires.insert(wire as usize);
+                let upstream = self.link_peer[node * ports + cr.in_port.index()];
+                assert_ne!(upstream, NO_LINK, "credit goes to an existing neighbor");
+                self.credits_sent.push((upstream, cr.vc));
             }
         }
         self.scratch = scratch;

@@ -10,22 +10,51 @@
 //! age guard) and, when `bypass_enabled` is set, skip to a combined *setup*
 //! stage followed directly by ST (Figure 10), cutting the no-contention
 //! residency from 5 cycles to 2.
-
-use std::collections::VecDeque;
+//!
+//! A VC that cannot win an allocator is *parked* on the one event that can
+//! change that — its front leaving the pipeline, a credit for the
+//! downstream VC it owns, a VC of its output port being released — and that
+//! event files it again, so the allocators visit only VCs that may win
+//! (`DESIGN.md` §16).
 
 use noclat_sim::config::NocConfig;
 use noclat_sim::Cycle;
 
 use crate::arbiter::{Candidate, RoundRobinArbiter};
-use crate::bitset::BitSet;
-use crate::packet::{accumulate_age, Flit, Priority, VNet};
+use crate::bitset::Bits;
+use crate::packet::{accumulate_age, Flit, FlitKind, PacketId, Priority, VNet};
 use crate::topology::{Dir, NodeId, Topology};
 
+/// Ports of the widest router (express): the length of per-port set arrays.
+const MAX_PORTS: usize = Dir::EXPRESS_ALL.len();
+
+// Every input VC of a router that validates is one bit of a `Bits`.
+const _: () = assert!(NocConfig::MAX_ROUTER_VCS <= Bits::CAPACITY);
+
+/// What a ring slot holds before its first flit.
+const NO_FLIT: Flit = Flit {
+    packet: PacketId(0),
+    kind: FlitKind::HeadTail,
+    dest: NodeId(0),
+    vnet: VNet::Request,
+    priority: Priority::Normal,
+    age: 0,
+    batch: 0,
+    vc: 0,
+    arrived_at: 0,
+    ready_at: 0,
+};
+
 /// State of one input VC. All input VCs of a router live in one flat array
-/// indexed `port * vcs_per_port + vc`, which is also the arbiter tag.
+/// indexed `port * vcs_per_port + vc` — the arbiter tag, and the VC's bit in
+/// every set — and buffer their flits in a ring of `buffer_depth` slots of
+/// `Router::flits`, from `slot * buffer_depth` on.
 #[derive(Debug, Clone)]
 struct VcState {
-    buf: VecDeque<Flit>,
+    /// Ring position of the front flit.
+    head: u8,
+    /// Flits buffered.
+    len: u8,
     /// Output port of the packet currently at the head of this VC.
     route: Option<Dir>,
     /// Downstream VC allocated to that packet.
@@ -33,7 +62,7 @@ struct VcState {
     /// Downstream VCs `[start, end)` that packet may be granted: its
     /// virtual network's half, narrowed on a torus to the dateline subclass
     /// [`Topology::vc_subclass`] assigns to the hop. Fixed at RC with the route.
-    class: (u16, u16),
+    class: (u8, u8),
     /// This VC as the upstream router knows it (what ST hands back).
     credit: CreditReturn,
 }
@@ -66,14 +95,6 @@ pub struct RouterOutput {
     pub credits: Vec<CreditReturn>,
 }
 
-/// A requester of one output port, in VA (a routed header without a
-/// downstream VC) or in SA phase 2 (a phase-1 winner).
-#[derive(Debug, Clone, Copy)]
-struct PortRequest {
-    out_port: usize,
-    cand: Candidate,
-}
-
 /// Everything one [`Router::tick`] writes besides the router's own state:
 /// the per-cycle output and the candidate lists of the allocators. A
 /// [`crate::Network`] owns one and lends it to each router in turn, so a
@@ -82,9 +103,7 @@ struct PortRequest {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouterScratch {
     pub(crate) out: RouterOutput,
-    /// Requesters of every output port, in `(port, vc)` order.
-    requests: Vec<PortRequest>,
-    /// The requesters of the output port being arbitrated, same order.
+    /// The requesters of the port being arbitrated, in `(port, vc)` order.
     candidates: Vec<Candidate>,
     /// VA only: the candidates a free downstream VC exists for.
     grantable: Vec<Candidate>,
@@ -105,6 +124,10 @@ pub struct RouterCounters {
 }
 
 /// A single mesh router.
+///
+/// Every non-empty input VC is a member of exactly one of six sets: the
+/// three stage sets `needs_rc`, `needs_va` and `sa_ready` say which stage
+/// it waits for, the three parked sets which event (`DESIGN.md` §16).
 #[derive(Debug, Clone)]
 pub struct Router {
     node: NodeId,
@@ -112,11 +135,16 @@ pub struct Router {
     cfg: NocConfig,
     /// Input VCs, flat (see [`VcState`]).
     vcs: Vec<VcState>,
+    /// The flit rings of every input VC, `buffer_depth` slots each.
+    flits: Vec<Flit>,
     /// Free buffer slots at each downstream input VC, flat by
     /// `out_port * vcs_per_port + vc`.
     credits: Vec<u32>,
-    /// Whether a packet currently owns each downstream VC, same indexing.
-    out_vc_taken: Vec<bool>,
+    /// Downstream VCs a packet currently owns, same indexing.
+    out_taken: Bits,
+    /// The input VC owning each taken downstream VC, same indexing: the one
+    /// VC a credit for it can unpark.
+    owner: Vec<u8>,
     va_arb: Vec<RoundRobinArbiter>,
     sa_in_arb: Vec<RoundRobinArbiter>,
     sa_out_arb: Vec<RoundRobinArbiter>,
@@ -124,14 +152,26 @@ pub struct Router {
     /// Total flits buffered across all input VCs.
     occupancy: usize,
     /// Input VCs whose front flit is a header without a route (RC's work).
-    needs_rc: BitSet,
-    /// Input VCs holding a routed header without a downstream VC (VA's).
-    needs_va: BitSet,
-    /// Non-empty input VCs with both a route and a downstream VC (SA's).
-    /// Every buffered flit is at the front of, or queued behind, a VC in
-    /// exactly one of the three sets, so a stage with an empty set has
-    /// nothing to do and the others walk only their members.
-    sa_ready: BitSet,
+    needs_rc: Bits,
+    /// Routed headers without a downstream VC, by output port (VA's work).
+    needs_va: [Bits; MAX_PORTS],
+    /// The output ports whose `needs_va` entry is non-empty.
+    va_ports: Bits,
+    /// VCs with a route and a downstream VC whose front may traverse (SA's
+    /// work).
+    sa_ready: Bits,
+    /// SA VCs whose front is still in the pipeline; re-filed by the first
+    /// tick at or after `wake_at`.
+    parked_pipe: Bits,
+    /// At most the earliest `ready_at` of a `parked_pipe` front
+    /// (`Cycle::MAX` when there is none).
+    wake_at: Cycle,
+    /// SA VCs without a credit for their downstream VC; re-filed by
+    /// [`Router::apply_credit`] for that VC.
+    parked_credit: Bits,
+    /// Headers with no free downstream VC in their class, by output port;
+    /// re-filed when a tail releases a VC of that port.
+    parked_va: [Bits; MAX_PORTS],
     /// Scratch of a standalone router (see [`RouterScratch`]).
     scratch: Option<Box<RouterScratch>>,
 }
@@ -140,16 +180,32 @@ impl Router {
     /// Creates the router `node` (a router-grid id) of `mesh` with the
     /// given NoC parameters. Port arrays are sized per topology (5 ports on
     /// mesh-like fabrics, 9 on express).
+    ///
+    /// # Panics
+    ///
+    /// Panics on more input VCs than [`NocConfig::MAX_ROUTER_VCS`] or VCs
+    /// deeper than [`NocConfig::MAX_BUFFER_DEPTH`] — bounds
+    /// `SystemConfig::validate` reports as a typed error first.
     #[must_use]
     pub fn new(node: NodeId, mesh: Topology, cfg: NocConfig) -> Self {
         let v = cfg.vcs_per_port;
         let ports = mesh.num_ports();
+        assert!(
+            ports * v <= NocConfig::MAX_ROUTER_VCS,
+            "{ports} ports x {v} VCs exceed one router's VC sets"
+        );
+        assert!(
+            cfg.buffer_depth <= NocConfig::MAX_BUFFER_DEPTH,
+            "VC buffer depth {} exceeds a one-byte ring position",
+            cfg.buffer_depth
+        );
         let vcs = mesh
             .ports()
             .iter()
             .flat_map(|&in_port| {
                 (0..v).map(move |vc| VcState {
-                    buf: VecDeque::with_capacity(cfg.buffer_depth),
+                    head: 0,
+                    len: 0,
                     route: None,
                     out_vc: None,
                     class: (0, 0),
@@ -165,16 +221,23 @@ impl Router {
             mesh,
             cfg,
             vcs,
+            flits: vec![NO_FLIT; ports * v * cfg.buffer_depth],
             credits: vec![cfg.buffer_depth as u32; ports * v],
-            out_vc_taken: vec![false; ports * v],
+            out_taken: Bits::default(),
+            owner: vec![0; ports * v],
             va_arb: vec![RoundRobinArbiter::new(); ports],
             sa_in_arb: vec![RoundRobinArbiter::new(); ports],
             sa_out_arb: vec![RoundRobinArbiter::new(); ports],
             counters: RouterCounters::default(),
             occupancy: 0,
-            needs_rc: BitSet::new(ports * v),
-            needs_va: BitSet::new(ports * v),
-            sa_ready: BitSet::new(ports * v),
+            needs_rc: Bits::default(),
+            needs_va: [Bits::default(); MAX_PORTS],
+            va_ports: Bits::default(),
+            sa_ready: Bits::default(),
+            parked_pipe: Bits::default(),
+            wake_at: Cycle::MAX,
+            parked_credit: Bits::default(),
+            parked_va: [Bits::default(); MAX_PORTS],
             scratch: None,
         }
     }
@@ -204,11 +267,26 @@ impl Router {
         port.index() * self.cfg.vcs_per_port + vc
     }
 
+    /// The front flit of the (non-empty) input VC `slot`.
+    fn front(&self, slot: usize) -> &Flit {
+        &self.flits[slot * self.cfg.buffer_depth + usize::from(self.vcs[slot].head)]
+    }
+
     /// Free buffer slots in a local-input VC (used by the injection logic,
     /// which sits at zero distance and needs no credit wire).
     #[must_use]
     pub fn local_vc_space(&self, vc: usize) -> usize {
-        self.cfg.buffer_depth - self.vcs[self.slot(Dir::Local, vc)].buf.len()
+        self.cfg.buffer_depth - self.buffered(self.slot(Dir::Local, vc))
+    }
+
+    /// Flits buffered in the input VC `slot`.
+    pub(crate) fn buffered(&self, slot: usize) -> usize {
+        usize::from(self.vcs[slot].len)
+    }
+
+    /// Credits held for the downstream VC `slot` (`out_port * vcs + vc`).
+    pub(crate) fn credit(&self, slot: usize) -> u32 {
+        self.credits[slot]
     }
 
     /// Whether a local-input VC currently holds or streams a packet (its
@@ -216,7 +294,7 @@ impl Router {
     #[must_use]
     pub fn local_vc_busy(&self, vc: usize) -> bool {
         let b = &self.vcs[self.slot(Dir::Local, vc)];
-        !b.buf.is_empty() || b.route.is_some()
+        b.len > 0 || b.route.is_some()
     }
 
     /// Accepts a flit into an input VC buffer, stamping its arrival and
@@ -226,19 +304,23 @@ impl Router {
     /// # Panics
     ///
     /// Panics in debug builds if the buffer is full (credit protocol
-    /// violation).
+    /// violation); a release build drops the flit instead.
     pub fn accept_flit(&mut self, port: Dir, mut flit: Flit, now: Cycle) {
         let slot = self.slot(port, usize::from(flit.vc));
+        let depth = self.cfg.buffer_depth;
         let state = &mut self.vcs[slot];
+        let len = usize::from(state.len);
         debug_assert!(
-            state.buf.len() < self.cfg.buffer_depth,
+            len < depth,
             "credit violation at {:?} port {:?} vc {}",
             self.node,
             port,
             flit.vc
         );
-        let buf_empty = state.buf.is_empty();
-        let bypass = self.cfg.bypass_enabled && flit.priority == Priority::High && buf_empty;
+        if len == depth {
+            return; // only a router fed by hand, past its credits, gets here
+        }
+        let bypass = self.cfg.bypass_enabled && flit.priority == Priority::High && len == 0;
         flit.arrived_at = now;
         flit.ready_at = now
             + if bypass {
@@ -249,15 +331,17 @@ impl Router {
         if bypass {
             self.counters.flits_bypassed += 1;
         }
+        let at = usize::from(state.head) + len;
+        self.flits[slot * depth + if at < depth { at } else { at - depth }] = flit;
+        state.len += 1;
         self.occupancy += 1;
-        state.buf.push_back(flit);
-        if buf_empty {
+        if len == 0 {
             // The new front decides which stage the VC waits for. A routed
             // header keeps the front until VA and SA served it, so an empty
             // VC with a route also has its downstream VC.
             match (state.route, state.out_vc) {
                 (None, _) => self.needs_rc.insert(slot),
-                (Some(_), Some(_)) => self.sa_ready.insert(slot),
+                (Some(_), Some(_)) => self.file_for_sa(slot, now),
                 (Some(_), None) => unreachable!("routed header left its VC before VA"),
             }
         }
@@ -275,6 +359,15 @@ impl Router {
             vc
         );
         *c += 1;
+        // Only the packet owning this downstream VC can have waited for it,
+        // and its front was ready when it parked.
+        if self.out_taken.contains(slot) {
+            let owner = usize::from(self.owner[slot]);
+            if self.parked_credit.contains(owner) {
+                self.parked_credit.remove(owner);
+                self.sa_ready.insert(owner);
+            }
+        }
     }
 
     /// VC index range of a virtual network (`[start, end)`).
@@ -300,8 +393,11 @@ impl Router {
         if !self.needs_rc.is_empty() {
             self.route_compute();
         }
-        if !self.needs_va.is_empty() {
+        if !self.va_ports.is_empty() {
             self.vc_allocate(now, scratch);
+        }
+        if now >= self.wake_at {
+            self.unpark_pipeline(now);
         }
         if !self.sa_ready.is_empty() {
             self.switch_allocate_and_traverse(now, scratch);
@@ -311,10 +407,8 @@ impl Router {
     /// RC: compute the output port for every VC whose front flit is a header
     /// without a route.
     fn route_compute(&mut self) {
-        let mut next = self.needs_rc.first_from(0);
-        while let Some(slot) = next {
-            next = self.needs_rc.first_from(slot + 1);
-            let front = *self.vcs[slot].buf.front().expect("RC set holds a flit");
+        for slot in self.needs_rc {
+            let front = *self.front(slot);
             debug_assert!(
                 front.kind.is_head(),
                 "body flit at VC front without a route (wormhole violation)"
@@ -334,14 +428,16 @@ impl Router {
             };
             let state = &mut self.vcs[slot];
             state.route = Some(route);
-            state.class = (class.0 as u16, class.1 as u16);
+            state.class = (class.0 as u8, class.1 as u8);
             self.needs_rc.remove(slot);
-            self.needs_va.insert(slot);
+            self.needs_va[route.index()].insert(slot);
+            self.va_ports.insert(route.index());
         }
     }
 
     /// The arbitration candidate for the front flit of input VC `slot`.
-    fn candidate(slot: usize, front: &Flit, now: Cycle) -> Candidate {
+    fn candidate(&self, slot: usize, now: Cycle) -> Candidate {
+        let front = self.front(slot);
         Candidate {
             tag: slot,
             priority: front.priority,
@@ -350,46 +446,33 @@ impl Router {
         }
     }
 
-    /// Lists the requesters of the lowest output port at or after `from` in
-    /// `scratch.candidates`, keeping their `(port, vc)` order, and returns
-    /// that port.
-    fn next_port_candidates(scratch: &mut RouterScratch, from: usize) -> Option<usize> {
-        let out_port = scratch
-            .requests
-            .iter()
-            .map(|r| r.out_port)
-            .filter(|&p| p >= from)
-            .min()?;
-        scratch.candidates.clear();
-        scratch.candidates.extend(
-            scratch
-                .requests
-                .iter()
-                .filter(|r| r.out_port == out_port)
-                .map(|r| r.cand),
-        );
-        Some(out_port)
-    }
-
-    /// VA: allocate free downstream VCs to waiting headers, priority-aware.
+    /// VA: allocate free downstream VCs to waiting headers, priority-aware,
+    /// output port by output port (ascending), each port's requesters in
+    /// `(port, vc)` order. A requester left without a VC is parked until a
+    /// VC of its port is released.
     fn vc_allocate(&mut self, now: Cycle, scratch: &mut RouterScratch) {
-        // One pass over the waiting headers; walking the set in ascending
-        // order lists each output port's requesters in `(port, vc)` order.
-        scratch.requests.clear();
-        for slot in self.needs_va.iter() {
-            let state = &self.vcs[slot];
-            let front = state.buf.front().expect("VA set holds a header");
-            debug_assert!(front.kind.is_head(), "VA requester is not a header");
-            scratch.requests.push(PortRequest {
-                out_port: state.route.expect("VA set is routed").index(),
-                cand: Self::candidate(slot, front, now),
-            });
-        }
-        let v = self.cfg.vcs_per_port;
         let (policy, guard) = (self.cfg.starvation, self.cfg.starvation_age_guard);
-        let mut from = 0;
-        while let Some(out_port) = Self::next_port_candidates(scratch, from) {
-            from = out_port + 1;
+        for out_port in std::mem::take(&mut self.va_ports) {
+            let waiting = std::mem::take(&mut self.needs_va[out_port]);
+            // A lone requester needs no arbitration, only a free VC.
+            if let Some(slot) = waiting.sole() {
+                match self.free_vc_in_class(out_port, slot) {
+                    Some(free) => {
+                        self.va_arb[out_port].grant_sole();
+                        self.grant_vc(slot, out_port, free, now);
+                    }
+                    None => self.parked_va[out_port].insert(slot),
+                }
+                continue;
+            }
+            scratch.candidates.clear();
+            for slot in waiting {
+                debug_assert!(
+                    self.front(slot).kind.is_head(),
+                    "VA requester is not a header"
+                );
+                scratch.candidates.push(self.candidate(slot, now));
+            }
             // Grant free VCs one winner at a time until no grantable
             // requester remains.
             while !scratch.candidates.is_empty() {
@@ -409,71 +492,121 @@ impl Router {
                 let free = self
                     .free_vc_in_class(out_port, winner)
                     .expect("winner was grantable");
-                self.out_vc_taken[out_port * v + free] = true;
-                self.vcs[winner].out_vc = Some(free as u8);
-                self.needs_va.remove(winner);
-                self.sa_ready.insert(winner);
+                self.grant_vc(winner, out_port, free, now);
                 scratch.candidates.retain(|c| c.tag != winner);
             }
+            for c in &scratch.candidates {
+                self.parked_va[out_port].insert(c.tag);
+            }
         }
+    }
+
+    /// Hands downstream VC `free` of `out_port` to the header at input VC
+    /// `slot`, which then waits for SA.
+    fn grant_vc(&mut self, slot: usize, out_port: usize, free: usize, now: Cycle) {
+        let out_slot = out_port * self.cfg.vcs_per_port + free;
+        self.out_taken.insert(out_slot);
+        self.owner[out_slot] = slot as u8;
+        self.vcs[slot].out_vc = Some(free as u8);
+        self.file_for_sa(slot, now);
     }
 
     /// First free downstream VC of `out_port` within the class RC fixed for
     /// the header at input VC `slot`.
     fn free_vc_in_class(&self, out_port: usize, slot: usize) -> Option<usize> {
         let (start, end) = self.vcs[slot].class;
-        let taken = &self.out_vc_taken[out_port * self.cfg.vcs_per_port..];
-        (usize::from(start)..usize::from(end)).find(|&v| !taken[v])
+        let base = out_port * self.cfg.vcs_per_port;
+        self.out_taken
+            .first_absent(base + usize::from(start), base + usize::from(end))
+            .map(|free| free - base)
+    }
+
+    /// Files an input VC holding a route and a downstream VC: into
+    /// `sa_ready` if its front may traverse at `now`, else parked on what it
+    /// waits for — the front's `ready_at`, or a credit.
+    fn file_for_sa(&mut self, slot: usize, now: Cycle) {
+        let ready_at = self.front(slot).ready_at;
+        if ready_at > now {
+            self.wake_at = self.wake_at.min(ready_at);
+            self.parked_pipe.insert(slot);
+        } else if self.has_credit(slot) {
+            self.sa_ready.insert(slot);
+        } else {
+            self.parked_credit.insert(slot);
+        }
+    }
+
+    /// Whether the packet at input VC `slot` may send a flit downstream
+    /// (ejection needs no credit).
+    fn has_credit(&self, slot: usize) -> bool {
+        let state = &self.vcs[slot];
+        let route = state.route.expect("SA candidate is routed");
+        let out_vc = state.out_vc.expect("SA candidate holds a downstream VC");
+        route == Dir::Local || self.credits[self.slot(route, usize::from(out_vc))] > 0
+    }
+
+    /// Re-files every front parked in the pipeline; those not yet ready
+    /// park again and set the next `wake_at`.
+    fn unpark_pipeline(&mut self, now: Cycle) {
+        self.wake_at = Cycle::MAX;
+        for slot in std::mem::take(&mut self.parked_pipe) {
+            self.file_for_sa(slot, now);
+        }
     }
 
     /// SA phase 1 (one VC per input port), SA phase 2 (one input per output
-    /// port), then ST for the winners.
+    /// port), then ST for the winners. Every `sa_ready` VC is a candidate:
+    /// fronts still in the pipeline and VCs without a credit are parked. A
+    /// lone requester wins without its candidate being built.
     fn switch_allocate_and_traverse(&mut self, now: Cycle, scratch: &mut RouterScratch) {
-        // Phase 1: per input port, pick one ready VC. The set lists an
-        // input port's VCs consecutively.
-        scratch.requests.clear();
         let v = self.cfg.vcs_per_port;
         let (policy, guard) = (self.cfg.starvation, self.cfg.starvation_age_guard);
-        let mut next = self.sa_ready.first_from(0);
-        while let Some(first) = next {
-            let port = self.vcs[first].credit.in_port.index();
-            scratch.candidates.clear();
-            while let Some(slot) = next.filter(|&s| s < (port + 1) * v) {
-                next = self.sa_ready.first_from(slot + 1);
-                let state = &self.vcs[slot];
-                let route = state.route.expect("SA set is routed");
-                let out_vc = state.out_vc.expect("SA set holds a downstream VC");
-                let front = state.buf.front().expect("SA set holds a flit");
-                if front.ready_at > now {
-                    continue;
+        // Phase 1: `winners[in_port]` is that port's winning VC, and
+        // `requests[p]` the input ports whose winner asks for output `p`.
+        let mut winners = [0; MAX_PORTS];
+        let mut requests = [Bits::default(); MAX_PORTS];
+        let mut out_ports = Bits::default();
+        let ports = self.mesh.num_ports();
+        for (in_port, winner) in winners.iter_mut().enumerate().take(ports) {
+            let ready = self.sa_ready.window(in_port * v, v);
+            let tag = if let Some(vc) = ready.sole() {
+                self.sa_in_arb[in_port].grant_sole();
+                in_port * v + vc
+            } else if ready.is_empty() {
+                continue;
+            } else {
+                scratch.candidates.clear();
+                for slot in ready.map(|vc| in_port * v + vc) {
+                    scratch.candidates.push(self.candidate(slot, now));
                 }
-                let has_credit =
-                    route == Dir::Local || self.credits[self.slot(route, usize::from(out_vc))] > 0;
-                if has_credit {
-                    scratch.candidates.push(Self::candidate(slot, front, now));
-                }
-            }
-            if let Some(tag) = self.sa_in_arb[port].pick(&scratch.candidates, policy, guard) {
-                let state = &self.vcs[tag];
-                scratch.requests.push(PortRequest {
-                    out_port: state.route.expect("SA set is routed").index(),
-                    cand: Self::candidate(
-                        tag,
-                        state.buf.front().expect("winner holds a flit"),
-                        now,
-                    ),
-                });
-            }
+                self.sa_in_arb[in_port]
+                    .pick(&scratch.candidates, policy, guard)
+                    .expect("an input port with ready VCs has a winner")
+            };
+            debug_assert!(self.front(tag).ready_at <= now && self.has_credit(tag));
+            let out_port = self.vcs[tag].route.expect("SA set is routed").index();
+            *winner = tag;
+            requests[out_port].insert(in_port);
+            out_ports.insert(out_port);
         }
         // Phase 2: per output port, pick one phase-1 winner. A winner asks
         // for exactly one output port, so traversals never disturb the
         // requests of the ports still to come.
-        let mut from = 0;
-        while let Some(out_port) = Self::next_port_candidates(scratch, from) {
-            from = out_port + 1;
-            let tag = self.sa_out_arb[out_port]
-                .pick(&scratch.candidates, policy, guard)
-                .expect("an output port with requesters has a winner");
+        for out_port in out_ports {
+            let tag = if let Some(in_port) = requests[out_port].sole() {
+                self.sa_out_arb[out_port].grant_sole();
+                winners[in_port]
+            } else {
+                scratch.candidates.clear();
+                for in_port in requests[out_port] {
+                    scratch
+                        .candidates
+                        .push(self.candidate(winners[in_port], now));
+                }
+                self.sa_out_arb[out_port]
+                    .pick(&scratch.candidates, policy, guard)
+                    .expect("an output port with requesters has a winner")
+            };
             self.traverse(tag, now, &mut scratch.out);
         }
     }
@@ -481,10 +614,17 @@ impl Router {
     /// ST: move the winning flit out of its buffer, update its age, consume
     /// a credit, release the VC on tails, and emit a credit return.
     fn traverse(&mut self, slot: usize, now: Cycle, out: &mut RouterOutput) {
+        let depth = self.cfg.buffer_depth;
+        let mut flit = *self.front(slot);
         let state = &mut self.vcs[slot];
+        state.head = if usize::from(state.head) + 1 == depth {
+            0
+        } else {
+            state.head + 1
+        };
+        state.len -= 1;
         let route = state.route.expect("traversing flit has a route");
         let out_vc = state.out_vc.expect("traversing flit has an output VC");
-        let mut flit = state.buf.pop_front().expect("traversing flit exists");
         self.occupancy -= 1;
         let unsaturated = u128::from(flit.age)
             + u128::from(now.saturating_sub(flit.arrived_at)) * u128::from(self.cfg.freq_mult);
@@ -499,17 +639,6 @@ impl Router {
         );
         flit.vc = out_vc;
         let out_slot = route.index() * self.cfg.vcs_per_port + usize::from(out_vc);
-        if flit.kind.is_tail() {
-            state.route = None;
-            state.out_vc = None;
-            self.out_vc_taken[out_slot] = false;
-            self.sa_ready.remove(slot);
-            if !state.buf.is_empty() {
-                self.needs_rc.insert(slot);
-            }
-        } else if state.buf.is_empty() {
-            self.sa_ready.remove(slot);
-        }
         if route != Dir::Local {
             let credit = &mut self.credits[out_slot];
             debug_assert!(*credit > 0, "ST without credit");
@@ -524,6 +653,108 @@ impl Router {
             out_port: route,
             flit,
         });
+        self.sa_ready.remove(slot);
+        if flit.kind.is_tail() {
+            state.route = None;
+            state.out_vc = None;
+            self.out_taken.remove(out_slot);
+            if state.len > 0 {
+                self.needs_rc.insert(slot);
+            }
+            // The released VC may be the one the parked headers of this
+            // port wait for: VA looks at them again next cycle.
+            let parked = std::mem::take(&mut self.parked_va[route.index()]);
+            if !parked.is_empty() {
+                self.needs_va[route.index()].absorb(parked);
+                self.va_ports.insert(route.index());
+            }
+        } else if state.len > 0 {
+            self.file_for_sa(slot, now);
+        }
+    }
+
+    /// The membership rules of the stage and parked sets, checked against a
+    /// scan of every VC (debug builds, from `Network::check_active_sets`):
+    /// every non-empty VC is in exactly one set and an empty one in none, a
+    /// VC parked for a credit holds none, a header parked for a VC has no
+    /// free VC in its class, `wake_at` is no later than any parked front's
+    /// `ready_at`, an SA-ready front is ready at `now` with a credit, the
+    /// ownership table names every taken downstream VC, and `occupancy`
+    /// counts the buffered flits.
+    pub(crate) fn check_invariants(&self, now: Cycle) {
+        let node = self.node;
+        let v = self.cfg.vcs_per_port;
+        let (mut non_empty, mut owned, mut buffered) = (Bits::default(), Bits::default(), 0);
+        for (slot, state) in self.vcs.iter().enumerate() {
+            if state.len > 0 {
+                non_empty.insert(slot);
+                buffered += usize::from(state.len);
+            }
+            if let (Some(route), Some(out_vc)) = (state.route, state.out_vc) {
+                let out_slot = route.index() * v + usize::from(out_vc);
+                assert_eq!(
+                    usize::from(self.owner[out_slot]),
+                    slot,
+                    "router {node}: owner"
+                );
+                owned.insert(out_slot);
+            }
+        }
+        assert_eq!(self.occupancy, buffered, "router {node}: occupancy");
+        assert_eq!(owned, self.out_taken, "router {node}: taken downstream VCs");
+        let mut filed = Bits::default();
+        let mut file = |set: Bits| {
+            assert!(!filed.overlaps(set), "router {node}: a VC is in two sets");
+            filed.absorb(set);
+        };
+        file(self.needs_rc);
+        file(self.sa_ready);
+        file(self.parked_pipe);
+        file(self.parked_credit);
+        for port in 0..self.mesh.num_ports() {
+            file(self.needs_va[port]);
+            file(self.parked_va[port]);
+            assert_eq!(
+                self.va_ports.contains(port),
+                !self.needs_va[port].is_empty(),
+                "router {node}: VA port mask at port {port}"
+            );
+            for slot in self.needs_va[port] {
+                assert_eq!(self.vcs[slot].route, Some(self.mesh.ports()[port]));
+            }
+            for slot in self.parked_va[port] {
+                assert_eq!(self.vcs[slot].route, Some(self.mesh.ports()[port]));
+                assert_eq!(
+                    self.free_vc_in_class(port, slot),
+                    None,
+                    "router {node}: VC {slot} parked for a VC while one of its class is free"
+                );
+            }
+        }
+        assert_eq!(
+            filed, non_empty,
+            "router {node}: the non-empty VCs are not all filed"
+        );
+        for slot in self.sa_ready {
+            assert!(
+                self.front(slot).ready_at <= now && self.has_credit(slot),
+                "router {node}: SA-ready VC {slot} cannot traverse at {now}"
+            );
+        }
+        for slot in self.parked_credit {
+            assert!(
+                !self.has_credit(slot),
+                "router {node}: VC {slot} parked for a credit holds one"
+            );
+        }
+        for slot in self.parked_pipe {
+            let ready_at = self.front(slot).ready_at;
+            assert!(
+                self.wake_at <= ready_at,
+                "router {node}: wakes at {} after VC {slot}'s front is ready at {ready_at}",
+                self.wake_at
+            );
+        }
     }
 
     /// Total flits currently buffered in this router, recounted from the
@@ -531,7 +762,7 @@ impl Router {
     /// count).
     #[must_use]
     pub fn buffered_flits(&self) -> usize {
-        self.vcs.iter().map(|v| v.buf.len()).sum()
+        self.vcs.iter().map(|v| usize::from(v.len)).sum()
     }
 
     /// Longest time any buffered flit has waited at this router (watchdog
@@ -539,10 +770,9 @@ impl Router {
     /// buffers are FIFOs, so the front is the oldest.
     #[must_use]
     pub fn oldest_buffered_wait(&self, now: Cycle) -> Option<Cycle> {
-        self.vcs
-            .iter()
-            .filter_map(|v| v.buf.front())
-            .map(|f| now.saturating_sub(f.arrived_at))
+        (0..self.vcs.len())
+            .filter(|&slot| self.vcs[slot].len > 0)
+            .map(|slot| now.saturating_sub(self.front(slot).arrived_at))
             .max()
     }
 }
@@ -893,5 +1123,106 @@ mod tests {
         let half = c.vcs_per_port as u8 / 2;
         assert!(req_vc < half, "request must use the request VC class");
         assert!(resp_vc >= half, "response must use the response VC class");
+    }
+
+    // -- parking: each path wakes on the cycle its event allows ----------
+
+    /// `(cycle, packet, kind, downstream vc)` of every traversal over `cycles`.
+    fn sent_over(
+        r: &mut Router,
+        cycles: std::ops::Range<Cycle>,
+    ) -> Vec<(Cycle, u64, FlitKind, u8)> {
+        let mut sent = Vec::new();
+        for t in cycles {
+            for tr in &r.tick(t).traversals {
+                sent.push((t, tr.flit.packet.0, tr.flit.kind, tr.flit.vc));
+            }
+        }
+        sent
+    }
+
+    #[test]
+    fn piped_front_traverses_at_its_ready_cycle_across_skipped_ticks() {
+        let mut r = Router::new(NodeId(0), mesh(), cfg());
+        let slot = r.slot(Dir::Local, 0);
+        let dest = NodeId(3);
+        r.accept_flit(
+            Dir::Local,
+            flit(1, FlitKind::HeadTail, dest, 0, Priority::Normal),
+            10,
+        );
+        // Tick 10 routes and allocates, and parks the front until 14.
+        assert!(r.tick(10).traversals.is_empty());
+        assert!(r.parked_pipe.contains(slot) && !r.sa_ready.contains(slot));
+        assert_eq!(r.wake_at, 14);
+        r.check_invariants(10);
+        assert!(r.tick(13).traversals.is_empty());
+        assert_eq!(
+            sent_over(&mut r, 14..15),
+            vec![(14, 1, FlitKind::HeadTail, 0)]
+        );
+        assert_eq!(r.wake_at, Cycle::MAX);
+        // A clock-divided router ticking long after `ready_at` still finds
+        // the front, with the whole wait in its age.
+        r.accept_flit(
+            Dir::Local,
+            flit(2, FlitKind::HeadTail, dest, 0, Priority::Normal),
+            20,
+        );
+        assert!(r.tick(21).traversals.is_empty());
+        assert_eq!(r.wake_at, 24);
+        let out = r.tick(30);
+        assert_eq!(out.traversals.len(), 1);
+        assert_eq!(out.traversals[0].flit.age, 10);
+        r.check_invariants(30);
+    }
+
+    #[test]
+    fn credit_starved_vc_traverses_on_the_tick_after_its_credit() {
+        let c = cfg();
+        let mut r = Router::new(NodeId(0), mesh(), c);
+        let flits = packet_of(c.buffer_depth + 1, NodeId(3));
+        assert_eq!(drive(&mut r, &flits, 300), c.buffer_depth);
+        // The tail fronts Local VC 0 with East VC 0's credits spent.
+        let slot = r.slot(Dir::Local, 0);
+        assert!(r.parked_credit.contains(slot) && !r.sa_ready.contains(slot));
+        r.check_invariants(299);
+        assert!(sent_over(&mut r, 300..320).is_empty());
+        r.apply_credit(Dir::East, 0);
+        assert!(r.sa_ready.contains(slot), "the credit re-files its owner");
+        assert_eq!(
+            sent_over(&mut r, 320..330),
+            vec![(320, 7, FlitKind::Tail, 0)]
+        );
+        r.check_invariants(329);
+    }
+
+    #[test]
+    fn blocked_header_is_granted_on_the_tick_after_a_tail_frees_its_vc() {
+        // Router 1: packets 1 and 2 from the Local port take both request
+        // VCs of the East port; packet 3 from the West port finds none free.
+        let mut r = Router::new(NodeId(1), mesh(), cfg());
+        let dest = NodeId(3);
+        let normal = |pkt, kind, vc| flit(pkt, kind, dest, vc, Priority::Normal);
+        r.accept_flit(Dir::Local, normal(1, FlitKind::Head, 0), 0); // keeps VC 0
+        r.accept_flit(Dir::Local, normal(2, FlitKind::Head, 1), 0);
+        let mut sent = sent_over(&mut r, 0..1);
+        r.accept_flit(Dir::West, normal(3, FlitKind::HeadTail, 0), 1);
+        sent.extend(sent_over(&mut r, 1..20));
+        let blocked = r.slot(Dir::West, 0);
+        assert!(r.parked_va[Dir::East.index()].contains(blocked));
+        r.check_invariants(19);
+        // Packet 2's tail arrives at 20, is ready at 24 and frees VC 1.
+        r.accept_flit(Dir::Local, normal(2, FlitKind::Tail, 1), 20);
+        sent.extend(sent_over(&mut r, 20..40));
+        let tail = sent
+            .iter()
+            .find(|s| s.1 == 2 && s.2 == FlitKind::Tail)
+            .expect("tail left")
+            .0;
+        assert_eq!(tail, 24);
+        let granted = sent.iter().find(|s| s.1 == 3).copied();
+        assert_eq!(granted, Some((tail + 1, 3, FlitKind::HeadTail, 1)));
+        r.check_invariants(39);
     }
 }

@@ -285,19 +285,13 @@ impl Topology {
     /// Ports per router: 5 on mesh/torus/cmesh, 9 on express.
     #[must_use]
     pub fn num_ports(&self) -> usize {
-        match self.cfg.kind {
-            TopologyKind::Express => Dir::EXPRESS_ALL.len(),
-            _ => Dir::ALL.len(),
-        }
+        self.cfg.router_ports()
     }
 
     /// The ports of this fabric, in port-index order.
     #[must_use]
     pub fn ports(&self) -> &'static [Dir] {
-        match self.cfg.kind {
-            TopologyKind::Express => &Dir::EXPRESS_ALL,
-            _ => &Dir::ALL,
-        }
+        &Dir::EXPRESS_ALL[..self.num_ports()]
     }
 
     /// The neighboring **router** reached through a port, if that link

@@ -4,15 +4,18 @@
 //! * the active sets name exactly the busy components — `Network::tick`
 //!   checks its sets, counters and running traversal total against a scan of
 //!   every router, wire, injector and inbox after each cycle of a debug
-//!   build, so any test that ticks a network exercises the check and this
-//!   one aims it at stalls, delays, drops and a slow clock domain;
+//!   build, and each router's stage and parked sets and the credits of every
+//!   link likewise, so any test that ticks a network exercises the check
+//!   and this one aims it at stalls, delays, drops and a slow clock domain,
+//!   on every fabric, on a router whose VCs fill both words of a 128-bit set
+//!   and on the two-stage pipeline without bypassing;
 //! * ticking every cycle and jumping between the cycles `next_event` names
 //!   deliver the same `(packet, cycle, final_age)` stream, whether the
 //!   packets are collected tile by tile or drained at once.
 
 use noclat_noc::{Network, NodeId, Priority, Topology, VNet};
 use noclat_sim::check::{self, range_u64};
-use noclat_sim::config::{SystemConfig, TopologyConfig};
+use noclat_sim::config::{NocConfig, RouterPipeline, SystemConfig, TopologyConfig};
 use noclat_sim::faults::{CycleWindow, FaultPlan, LinkFault, RouterStall};
 use noclat_sim::rng::SimRng;
 use noclat_sim::Cycle;
@@ -50,7 +53,7 @@ enum Scenario {
     SlowRouter,
 }
 
-fn build(topo: Topology, scenario: Scenario, rng: &mut SimRng) -> Network<usize> {
+fn build(topo: Topology, noc: NocConfig, scenario: Scenario, rng: &mut SimRng) -> Network<usize> {
     let router = rng.index(topo.num_routers());
     let mut plan = FaultPlan::none();
     match scenario {
@@ -73,7 +76,7 @@ fn build(topo: Topology, scenario: Scenario, rng: &mut SimRng) -> Network<usize>
         Scenario::DropWithRecovery => plan = FaultPlan::uniform_drop(rng.next_u64(), 0.02),
         Scenario::Healthy | Scenario::SlowRouter => {}
     }
-    let mut net = Network::with_faults(topo, SystemConfig::baseline_32().noc, &plan);
+    let mut net = Network::with_faults(topo, noc, &plan);
     if scenario == Scenario::SlowRouter {
         net.set_node_period(NodeId(router as u16), 3).unwrap();
     }
@@ -158,11 +161,32 @@ fn drive(
 
 #[test]
 fn skipping_idle_cycles_changes_nothing_on_any_fabric_under_any_fault() {
-    let fabrics = [
-        Topology::new(8, 4),
-        Topology::from_config(&TopologyConfig::torus(8, 4)),
-        Topology::from_config(&TopologyConfig::cmesh(8, 4, 2)),
-        Topology::from_config(&TopologyConfig::express(8, 8, 2)),
+    let paper = SystemConfig::baseline_32().noc;
+    let express = Topology::from_config(&TopologyConfig::express(8, 8, 2));
+    let cells = [
+        (Topology::new(8, 4), paper),
+        (Topology::from_config(&TopologyConfig::torus(8, 4)), paper),
+        (
+            Topology::from_config(&TopologyConfig::cmesh(8, 4, 2)),
+            paper,
+        ),
+        (express, paper),
+        // 9 ports x 8 VCs = 72 input VCs: both words of a router's sets.
+        (
+            express,
+            NocConfig {
+                vcs_per_port: 8,
+                ..paper
+            },
+        ),
+        (
+            Topology::new(8, 4),
+            NocConfig {
+                pipeline: RouterPipeline::TwoStage,
+                bypass_enabled: false,
+                ..paper
+            },
+        ),
     ];
     let scenarios = [
         Scenario::Healthy,
@@ -171,20 +195,26 @@ fn skipping_idle_cycles_changes_nothing_on_any_fabric_under_any_fault() {
         Scenario::DropWithRecovery,
         Scenario::SlowRouter,
     ];
-    for topo in fabrics {
+    for (topo, noc) in cells {
         for scenario in scenarios {
             check::cases(2, |rng| {
                 let injections = random_injections(rng, topo.num_nodes() as u16);
                 // Both runs draw their fault plan from the same stream.
                 let mut twin = rng.clone();
-                let every_cycle = drive(&mut build(topo, scenario, rng), &injections, false);
-                let skipping = drive(&mut build(topo, scenario, &mut twin), &injections, true);
+                let every_cycle = drive(&mut build(topo, noc, scenario, rng), &injections, false);
+                let skipping = drive(
+                    &mut build(topo, noc, scenario, &mut twin),
+                    &injections,
+                    true,
+                );
                 assert_eq!(every_cycle.len(), injections.len());
                 assert_eq!(
                     every_cycle,
                     skipping,
-                    "{} {scenario:?}: delivery streams diverged",
-                    topo.config().label()
+                    "{} {} VCs {:?} {scenario:?}: delivery streams diverged",
+                    topo.config().label(),
+                    noc.vcs_per_port,
+                    noc.pipeline
                 );
             });
         }
@@ -196,7 +226,12 @@ fn drained_network_reports_idle_and_its_counters_agree() {
     check::cases(4, |rng| {
         let topo = Topology::from_config(&TopologyConfig::torus(8, 4));
         let injections = random_injections(rng, 32);
-        let mut net = build(topo, Scenario::Healthy, rng);
+        let mut net = build(
+            topo,
+            SystemConfig::baseline_32().noc,
+            Scenario::Healthy,
+            rng,
+        );
         let delivered = drive(&mut net, &injections, true);
         assert_eq!(delivered.len(), injections.len());
         // Let the trailing credits land; nothing may be left anywhere.

@@ -121,6 +121,16 @@ impl TopologyConfig {
         usize::from(self.width) * usize::from(self.height)
     }
 
+    /// Ports per router, `Local` included: 9 on express (four skip
+    /// channels on top of the mesh's five), 5 on every other fabric.
+    #[must_use]
+    pub fn router_ports(&self) -> usize {
+        match self.kind {
+            TopologyKind::Express => 9,
+            _ => 5,
+        }
+    }
+
     /// Compact `fabric:WxH[,extras]` label for logs and fingerprints.
     #[must_use]
     pub fn label(&self) -> String {
@@ -289,6 +299,14 @@ pub enum StarvationPolicy {
 }
 
 impl NocConfig {
+    /// Most input VCs (`ports × vcs_per_port`, `Local` included) one router
+    /// may hold: its stage sets are one 128-bit word each, and a VC id
+    /// travels in a byte.
+    pub const MAX_ROUTER_VCS: usize = 128;
+
+    /// Deepest VC buffer: positions in a VC's flit ring are one byte.
+    pub const MAX_BUFFER_DEPTH: usize = u8::MAX as usize;
+
     /// Maximum representable age value (saturating).
     #[must_use]
     pub fn max_age(&self) -> u32 {

@@ -2,7 +2,7 @@
 //! check it shares with the network ([`TopologyConfig::router_grid`]) and
 //! the typed [`ConfigError`] both report.
 
-use super::types::{SystemConfig, TopologyConfig, TopologyKind};
+use super::types::{NocConfig, SystemConfig, TopologyConfig, TopologyKind};
 use crate::error::FaultError;
 
 impl TopologyConfig {
@@ -151,6 +151,21 @@ impl SystemConfig {
                 u64::from(self.mem.refresh_period),
                 self.mem.refresh_period > 0,
                 "a positive period",
+            ),
+            (
+                "noc.vcs_per_port",
+                self.noc.vcs_per_port as u64,
+                self.noc
+                    .vcs_per_port
+                    .saturating_mul(self.topology.router_ports())
+                    <= NocConfig::MAX_ROUTER_VCS,
+                "at most 128 input VCs per router: 25 per port on 5-port fabrics, 14 on express",
+            ),
+            (
+                "noc.buffer_depth",
+                self.noc.buffer_depth as u64,
+                self.noc.buffer_depth <= NocConfig::MAX_BUFFER_DEPTH,
+                "at most 255 flits per VC",
             ),
             positive("noc.flit_bits", self.noc.flit_bits, "a positive flit width"),
             (

@@ -1,7 +1,8 @@
 //! Kernel-equivalence matrix: the event-wheel kernel must be *bit-identical*
 //! to the cycle-driven kernel — not statistically close — on every scheme
 //! combination, on every request × response policy kind and arbitration
-//! policy, and under injected faults.
+//! policy, under injected faults, on every fabric and on the widest and the
+//! shortest router.
 //!
 //! Each cell runs the same configuration under both kernels and compares a
 //! deep fingerprint: per-core counters for all 32 cores, network and
@@ -14,6 +15,7 @@
 use std::sync::{Arc, Mutex};
 
 use noclat_repro::noc::Hop;
+use noclat_repro::sim::config::{RouterPipeline, TopologyConfig};
 use noclat_repro::sim::faults::{BankFault, BankFaultKind, CycleWindow, FaultPlan, RouterStall};
 use noclat_repro::workloads::workload;
 use noclat_repro::{
@@ -358,4 +360,30 @@ fn express_16x16_matches() {
         0,
         TOPO_RUN_CYCLES,
     );
+}
+
+// ---------------------------------------------------------------------------
+// Router shapes at the edges of the router's bookkeeping: the widest VC sets
+// and the shortest pipeline (fronts parked for one cycle only).
+// ---------------------------------------------------------------------------
+
+/// Express at 4x8 with 8 VCs: 9 ports x 8 = 72 input VCs, so a router's
+/// sets use both words of their 128 bits.
+#[test]
+fn express_eight_vcs_matches() {
+    let mut cfg = SystemConfig::baseline_32().with_both_schemes();
+    cfg.topology = TopologyConfig::express(8, 4, 2);
+    cfg.noc.vcs_per_port = 8;
+    let plan = FaultPlan::none();
+    assert_kernels_agree_for("express-8vc", &cfg, &plan, 0, TOPO_RUN_CYCLES);
+}
+
+/// The Fig-17 two-stage router without pipeline bypassing.
+#[test]
+fn two_stage_without_bypass_matches() {
+    let mut cfg = SystemConfig::baseline_32().with_both_schemes();
+    cfg.noc.pipeline = RouterPipeline::TwoStage;
+    cfg.noc.bypass_enabled = false;
+    let plan = FaultPlan::none();
+    assert_kernels_agree_for("two-stage-no-bypass", &cfg, &plan, 0, TOPO_RUN_CYCLES);
 }
