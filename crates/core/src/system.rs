@@ -16,8 +16,7 @@
 //! [`Probe`]s to watch hops, controller dequeues and retirements without
 //! perturbing the simulation.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use noclat_cache::{L1Access, L1Cache, L2Access, L2Bank, MshrFile, SnucaMap};
 use noclat_cpu::{InstrStream, MemAccess, MemToken, MemoryPort, OooCore};
@@ -26,6 +25,7 @@ use noclat_noc::{
     accumulate_age, flits_for_payload, Delivered, Network, NodeId, Priority, RouterCounters,
     Topology,
 };
+use noclat_sim::calendar::Calendar;
 use noclat_sim::cancel::CancelToken;
 use noclat_sim::config::{KernelKind, SystemConfig};
 use noclat_sim::error::SimError;
@@ -112,7 +112,7 @@ enum RetryKey {
 }
 
 /// Deferred work modeling cache-bank access latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Action {
     /// An L2 lookup for a request that arrived `l2.latency` cycles ago.
     L2Request { node: usize, txn: TxnId, age: u32 },
@@ -132,7 +132,7 @@ enum Action {
 }
 
 /// A data response (`MemResp` or `L2Resp`) as it arrived at tile `node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Fill {
     node: usize,
     txn: TxnId,
@@ -141,25 +141,6 @@ struct Fill {
     age: u32,
     /// The priority it travelled at; the next leg inherits it.
     priority: Priority,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WorkItem {
-    ready: Cycle,
-    seq: u64,
-    action: Action,
-}
-
-impl Ord for WorkItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.ready, self.seq).cmp(&(other.ready, other.seq))
-    }
-}
-
-impl PartialOrd for WorkItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A memory controller attached to a mesh corner.
@@ -247,8 +228,9 @@ pub struct System {
     l1_mshrs: Vec<MshrFile<MemToken>>,
     l2_banks: Vec<L2Bank>,
     l2_mshrs: Vec<MshrFile<TxnId>>,
-    work: BinaryHeap<Reverse<WorkItem>>,
-    work_seq: u64,
+    /// Deferred work by the cycle it is due, in scheduling order within a
+    /// cycle.
+    work: Calendar<Action>,
     mcs: Vec<McNode>,
     mc_at_node: Vec<Option<usize>>,
     /// Decision point 1: priority of L2-miss requests entering the request
@@ -278,11 +260,12 @@ pub struct System {
     cancel: Option<CancelToken>,
     /// Set once a run loop observed the cancel flag and stopped early.
     interrupted: bool,
-    /// Per-step buffers of [`System::tick_cores`] and
-    /// [`System::handle_deliveries`], empty between steps and kept for
-    /// their capacity.
+    /// Per-step buffers of [`System::tick_cores`],
+    /// [`System::handle_deliveries`] and [`System::process_work`], empty
+    /// between steps and kept for their capacity.
     outbox: Vec<(usize, MemMsg)>,
     mail: Vec<Delivered<MemMsg>>,
+    due_work: Vec<Action>,
 }
 
 impl std::fmt::Debug for System {
@@ -379,8 +362,7 @@ impl System {
             l2_mshrs: (0..n)
                 .map(|_| MshrFile::new(cfg.l2.mshrs_per_bank))
                 .collect(),
-            work: BinaryHeap::new(),
-            work_seq: 0,
+            work: Calendar::new(cfg.l1.latency.max(cfg.l2.latency).max(MSHR_RETRY_DELAY)),
             mcs,
             mc_at_node,
             req_policy: RequestPolicy::new(&cfg, addr_map.total_banks()),
@@ -414,6 +396,7 @@ impl System {
             interrupted: false,
             outbox: Vec::new(),
             mail: Vec::new(),
+            due_work: Vec::new(),
             now: 0,
             cfg,
         };
@@ -674,11 +657,11 @@ impl System {
         // Deferred cache-bank work. Each source checks for "busy right now"
         // before folding the next: a step is already unavoidable then, and
         // the remaining scans would only be thrown away.
-        if let Some(Reverse(w)) = self.work.peek() {
-            if w.ready <= now {
+        if let Some(due) = self.work.next_due() {
+            if due <= now {
                 return Some(now);
             }
-            fold(w.ready);
+            fold(due);
         }
         // Network: packets anywhere in the injectors, routers or wires.
         if let Some(t) = self.net.next_event(now) {
@@ -823,15 +806,6 @@ impl System {
         self.now += 1;
     }
 
-    fn push_work(&mut self, ready: Cycle, action: Action) {
-        self.work_seq += 1;
-        self.work.push(Reverse(WorkItem {
-            ready,
-            seq: self.work_seq,
-            action,
-        }));
-    }
-
     /// The one way a message enters the network. Virtual network and
     /// length come from the message itself ([`MemMsg::vnet`],
     /// [`MemMsg::flits`]); the caller supplies only what varies per send.
@@ -899,7 +873,7 @@ impl System {
                 continue;
             }
             self.robust.retries += 1;
-            self.push_work(
+            self.work.push(
                 now + retry_backoff(attempt),
                 Action::Reinject {
                     src,
@@ -1154,11 +1128,13 @@ impl System {
                         t.times.at_l2 = now;
                         t.touched = now;
                     }
-                    self.push_work(now + l2_latency, Action::L2Request { node, txn, age });
+                    self.work
+                        .push(now + l2_latency, Action::L2Request { node, txn, age });
                 }
                 MemMsg::L1Writeback { line } => {
                     self.end_retry_budget(RetryKey::Line(line));
-                    self.push_work(now + l2_latency, Action::L2Writeback { node, line });
+                    self.work
+                        .push(now + l2_latency, Action::L2Writeback { node, line });
                 }
                 MemMsg::MemReq { txn, line } => {
                     let mc_idx =
@@ -1196,10 +1172,12 @@ impl System {
                         t.times.back_at_l2 = now;
                         t.touched = now;
                     }
-                    self.push_work(now + l2_latency, Action::L2Fill(fill(txn, line)));
+                    self.work
+                        .push(now + l2_latency, Action::L2Fill(fill(txn, line)));
                 }
                 MemMsg::L2Resp { txn, line } => {
-                    self.push_work(now + l1_latency, Action::CoreFill(fill(txn, line)));
+                    self.work
+                        .push(now + l1_latency, Action::CoreFill(fill(txn, line)));
                 }
                 MemMsg::ThresholdUpdate { core, threshold } => {
                     let mc_idx = self.mc_at_node[node]
@@ -1213,9 +1191,10 @@ impl System {
     }
 
     fn process_work(&mut self, now: Cycle) {
-        while self.work.peek().is_some_and(|Reverse(w)| w.ready <= now) {
-            let Reverse(item) = self.work.pop().expect("checked peek");
-            match item.action {
+        let mut due = std::mem::take(&mut self.due_work);
+        self.work.drain_due(now, &mut due);
+        for action in due.drain(..) {
+            match action {
                 Action::L2Request { node, txn, age } => self.l2_request(node, txn, age, now),
                 Action::L2Writeback { node, line } => self.l2_writeback(node, line, now),
                 Action::L2Fill(fill) => self.l2_fill(fill, now),
@@ -1232,6 +1211,9 @@ impl System {
                 }
             }
         }
+        self.due_work = due;
+        // One drain is enough: no action files work due the cycle it runs.
+        debug_assert!(self.work.next_due().is_none_or(|due| due > now));
     }
 
     fn l2_request(&mut self, node: usize, txn: TxnId, age: u32, now: Cycle) {
@@ -1254,7 +1236,8 @@ impl System {
         // wait is part of the access's so-far delay.
         if self.l2_mshrs[node].len() == self.l2_mshrs[node].capacity() {
             let age = accumulate_age(age, MSHR_RETRY_DELAY, 1, max_age);
-            self.push_work(now + MSHR_RETRY_DELAY, Action::L2Request { node, txn, age });
+            self.work
+                .push(now + MSHR_RETRY_DELAY, Action::L2Request { node, txn, age });
             return;
         }
         // Either way the L2 lookup joins the access's so-far delay.

@@ -1,11 +1,11 @@
 //! Sets of small indices, walked in ascending order.
 //!
 //! The hot path keeps one of these for every "who holds work" question —
-//! which routers buffer flits, which wires carry something, which input VCs
-//! of a router wait for which pipeline stage or event — so a cycle touches
-//! only the members instead of scanning every component. Ascending
-//! iteration is what keeps arbitration and wire ordering identical to a
-//! full index scan. Network-wide sets are a boxed [`BitSet`]; a router's
+//! which routers buffer flits, which injectors stream packets, which input
+//! VCs of a router wait for which pipeline stage or event — so a cycle
+//! touches only the members instead of scanning every component. Ascending
+//! iteration is what keeps arbitration order identical to a full index
+//! scan. Network-wide sets are a boxed [`BitSet`]; a router's
 //! sets fit one inline [`Bits`] word each.
 
 /// An inline set over `0..Bits::CAPACITY`: a router's input VCs (whose
@@ -128,16 +128,6 @@ impl BitSet {
         }
         Some(w * 64 + bits.trailing_zeros() as usize)
     }
-
-    /// Members in ascending order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut next = self.first_from(0);
-        std::iter::from_fn(move || {
-            let i = next?;
-            next = self.first_from(i + 1);
-            Some(i)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +141,13 @@ mod tests {
         for i in [130, 3, 64, 199, 63] {
             s.insert(i);
         }
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 63, 64, 130, 199]);
+        let mut members = Vec::new();
+        let mut next = s.first_from(0);
+        while let Some(i) = next {
+            members.push(i);
+            next = s.first_from(i + 1);
+        }
+        assert_eq!(members, vec![3, 63, 64, 130, 199]);
         assert!(s.contains(64) && !s.contains(65));
         s.remove(64);
         assert_eq!(s.first_from(64), Some(130));

@@ -117,6 +117,7 @@ impl<P> PacketStore<P> {
     }
 }
 
+use noclat_sim::calendar::Calendar;
 use noclat_sim::config::{NocConfig, StarvationPolicy};
 use noclat_sim::error::SimError;
 use noclat_sim::faults::{FaultPlan, LinkFaultState, LinkOutcome, RouterStallState};
@@ -230,11 +231,12 @@ const NO_LINK: u32 = u32::MAX;
 /// The mesh network.
 ///
 /// A cycle visits only components that hold work: the `busy_*` sets and
-/// `mailed` name exactly the routers buffering flits, the wires with flits
-/// in flight, the injectors with packets left to stream and the tiles with
-/// undelivered mail. They are walked in ascending index order, so
-/// arbitration, wire and delivery order equal a scan of everything
-/// (`DESIGN.md` §16). Credits need no per-link state: see `credits_due`.
+/// `mailed` name exactly the routers buffering flits, the injectors with
+/// packets left to stream and the tiles with undelivered mail, and the
+/// arrival calendar holds the flits on the links by the cycle they land.
+/// The sets are walked in ascending index order, so arbitration and
+/// delivery order equal a scan of everything (`DESIGN.md` §16). Credits
+/// need no per-link state: see `credits_due`.
 #[derive(Debug)]
 pub struct Network<P> {
     mesh: Topology,
@@ -245,9 +247,16 @@ pub struct Network<P> {
     busy_routers: BitSet,
     /// The routers' shared per-cycle scratch and output.
     scratch: RouterScratch,
-    /// In-flight flits per (router, input port): `(arrival_cycle, flit)`.
-    wires: Vec<VecDeque<(Cycle, Flit)>>,
-    busy_wires: BitSet,
+    /// Flits on the links as `(far-end wire, flit)`, by arrival cycle and
+    /// in send order within a cycle. A wire is the `router * num_ports +
+    /// input port` slot the flit enters.
+    arrivals: Calendar<(u32, Flit)>,
+    /// Arrival cycle of the last flit sent down each wire. A flit lands no
+    /// earlier, so a wire stays FIFO when a fault delays the flit ahead.
+    last_arrival: Vec<Cycle>,
+    /// The flits landing this cycle, empty between ticks and kept for its
+    /// capacity.
+    landed: Vec<(u32, Flit)>,
     /// Credits the routers freed this cycle, as `(upstream router *
     /// num_ports + output port, vc)`.
     credits_sent: Vec<(u32, u8)>,
@@ -265,6 +274,9 @@ pub struct Network<P> {
     /// `port` returns to. Built once, so a hop or a credit costs one load
     /// instead of `mesh.neighbor()`'s coordinate arithmetic.
     link_peer: Vec<u32>,
+    /// Its inverse: the upstream `(router, output port)` feeding each wire,
+    /// by which the credit audit charges a flit on the links to its link.
+    link_source: Vec<u32>,
     injectors: Vec<Injector>,
     busy_injectors: BitSet,
     inboxes: Vec<Vec<Delivered<P>>>,
@@ -318,7 +330,7 @@ impl<P> Network<P> {
         let tiles = mesh.num_nodes();
         let n = mesh.num_routers();
         let ports = mesh.num_ports();
-        let link_peer = mesh
+        let link_peer: Vec<u32> = mesh
             .routers()
             .flat_map(|r| mesh.ports().iter().map(move |&d| (r, d)))
             .map(|(r, d)| {
@@ -327,6 +339,12 @@ impl<P> Network<P> {
                 })
             })
             .collect();
+        let mut link_source = vec![NO_LINK; n * ports];
+        for (up, &wire) in link_peer.iter().enumerate() {
+            if wire != NO_LINK {
+                link_source[wire as usize] = up as u32;
+            }
+        }
         Network {
             mesh,
             cfg,
@@ -336,13 +354,15 @@ impl<P> Network<P> {
                 .collect(),
             busy_routers: BitSet::new(n),
             scratch: RouterScratch::default(),
-            wires: (0..n * ports).map(|_| VecDeque::new()).collect(),
-            busy_wires: BitSet::new(n * ports),
+            arrivals: Calendar::new(cfg.link_latency),
+            last_arrival: vec![0; n * ports],
+            landed: Vec::new(),
             credits_sent: Vec::new(),
             credits_due: Vec::new(),
             credits_due_at: 0,
             credit_audit: Vec::new(),
             link_peer,
+            link_source,
             injectors: (0..n).map(|_| Injector::new(cfg.vcs_per_port)).collect(),
             busy_injectors: BitSet::new(n),
             inboxes: (0..tiles).map(|_| Vec::new()).collect(),
@@ -427,16 +447,20 @@ impl<P> Network<P> {
     /// component is quiet anyway. With all of those empty, the only latent
     /// events are flits still travelling on wires and credits still due;
     /// skipping past a credit's arrival would make the first post-skip
-    /// arbitration see stale credit state, so wire fronts and the credits'
-    /// landing cycle are exact wake-ups.
+    /// arbitration see stale credit state, so the arrival calendar's
+    /// earliest cycle and the credits' landing cycle are exact wake-ups.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.busy_injectors.is_empty() || !self.busy_routers.is_empty() {
             return Some(now);
         }
-        let flits = self.busy_wires.iter().map(|w| self.wires[w][0].0);
         let credits = (!self.credits_due.is_empty()).then_some(self.credits_due_at);
-        flits.chain(credits).min().map(|t| t.max(now))
+        self.arrivals
+            .next_due()
+            .into_iter()
+            .chain(credits)
+            .min()
+            .map(|t| t.max(now))
     }
 
     /// Slows router `node` (a router-grid id) down to arbitrate once every
@@ -619,13 +643,6 @@ impl<P> Network<P> {
                 "injector {r}: busy-set membership with {pending} packets pending"
             );
         }
-        for w in 0..self.wires.len() {
-            assert_eq!(
-                self.busy_wires.contains(w),
-                !self.wires[w].is_empty(),
-                "wire {w}: busy-set membership"
-            );
-        }
         self.check_credit_conservation();
         for (tile, inbox) in self.inboxes.iter().enumerate() {
             assert_eq!(
@@ -655,14 +672,15 @@ impl<P> Network<P> {
         for &(up, vc) in self.credits_due.iter().chain(&self.credits_sent) {
             held[up as usize * v + usize::from(vc)] += 1;
         }
+        for (wire, flit) in self.arrivals.iter() {
+            let up = self.link_source[*wire as usize] as usize;
+            held[up * v + usize::from(flit.vc)] += 1;
+        }
         for (up, &wire) in self.link_peer.iter().enumerate() {
             if wire == NO_LINK {
                 continue;
             }
             let wire = wire as usize;
-            for (_, flit) in &self.wires[wire] {
-                held[up * v + usize::from(flit.vc)] += 1;
-            }
             let (router, down) = (&self.routers[up / ports], &self.routers[wire / ports]);
             let (out_port, in_port) = (up % ports, wire % ports);
             for vc in 0..v {
@@ -680,24 +698,48 @@ impl<P> Network<P> {
         self.credit_audit = held;
     }
 
-    /// Moves arrived flits from the wires into the routers, and applies the
+    /// The carried-age identity, checked on every ejected head flit of a
+    /// debug build whose plan has no link fault: the age field holds the
+    /// initial age plus every cycle since injection that the head did not
+    /// spend on a link — source queue and router residencies, stalls and
+    /// slow clock domains included — scaled by `freq_mult` and saturated at
+    /// the field's width. Link faults are left out because a delayed link
+    /// adds link time the hop count does not know about.
+    fn check_carried_age(&self, head: &Flit, now: Cycle) {
+        let meta = self
+            .packets
+            .meta(head.packet)
+            .expect("an ejected head's packet is in flight");
+        let on_links =
+            Cycle::from(self.mesh.hop_distance(meta.src, meta.dest)) * self.cfg.link_latency;
+        let expected = accumulate_age(
+            meta.initial_age,
+            now.saturating_sub(meta.injected_at + on_links),
+            self.cfg.freq_mult,
+            self.cfg.max_age(),
+        );
+        assert_eq!(
+            head.age, expected,
+            "packet {:?} {:?} -> {:?} injected at {} ejected at {now}: carried age",
+            head.packet, meta.src, meta.dest, meta.injected_at
+        );
+    }
+
+    /// Moves arrived flits from the links into the routers, and applies the
     /// credits sent on an earlier cycle.
+    ///
+    /// Flits land in send order, not wire order: an arriving flit touches
+    /// only its own (router, input port, VC) and sets and counters whose
+    /// updates commute, and the flits of one VC share a wire, which the
+    /// calendar keeps in order.
     fn deliver_wires(&mut self, now: Cycle) {
         let ports = self.mesh.num_ports();
         let port_dirs = self.mesh.ports();
-        let mut next = self.busy_wires.first_from(0);
-        while let Some(slot) = next {
-            next = self.busy_wires.first_from(slot + 1);
-            let (node, dir) = (slot / ports, port_dirs[slot % ports]);
-            let w = &mut self.wires[slot];
-            while w.front().is_some_and(|&(t, _)| t <= now) {
-                let (_, flit) = w.pop_front().expect("checked front");
-                self.routers[node].accept_flit(dir, flit, now);
-                self.busy_routers.insert(node);
-            }
-            if w.is_empty() {
-                self.busy_wires.remove(slot);
-            }
+        self.arrivals.drain_due(now, &mut self.landed);
+        for (slot, flit) in self.landed.drain(..) {
+            let (node, dir) = (slot as usize / ports, port_dirs[slot as usize % ports]);
+            self.routers[node].accept_flit(dir, flit, now);
+            self.busy_routers.insert(node);
         }
         // Sent on a cycle before `now`, so due by now.
         for (slot, vc) in self.credits_due.drain(..) {
@@ -877,9 +919,9 @@ impl<P> Network<P> {
                     }
                     let wire = self.link_peer[node * ports + tr.out_port.index()];
                     assert_ne!(wire, NO_LINK, "route stays inside mesh");
-                    self.wires[wire as usize]
-                        .push_back((now + self.cfg.link_latency + extra_delay, tr.flit));
-                    self.busy_wires.insert(wire as usize);
+                    let last = &mut self.last_arrival[wire as usize];
+                    *last = (now + self.cfg.link_latency + extra_delay).max(*last);
+                    self.arrivals.push(*last, (wire, tr.flit));
                 }
             }
             for cr in &scratch.out.credits {
@@ -931,6 +973,9 @@ impl<P> Network<P> {
     /// Consumes a flit at its destination; delivers the packet on its tail.
     fn eject(&mut self, node: NodeId, flit: Flit, now: Cycle) {
         if flit.kind.is_head() {
+            if cfg!(debug_assertions) && !self.link_faults.is_active() {
+                self.check_carried_age(&flit, now);
+            }
             self.packets.set_head_age(flit.packet, flit.age);
         }
         if !flit.kind.is_tail() {
@@ -1432,6 +1477,7 @@ mod tests {
         let mut cfg = SystemConfig::baseline_32();
         cfg.noc.routing = RoutingAlgorithm::YX;
         let mut net: Network<u32> = Network::new(Topology::new(8, 4), cfg.noc);
+        // All 64 enter before the first tick, so all are stamped cycle 0.
         for i in 0..64u64 {
             net.inject(
                 NodeId((i % 32) as u16),
@@ -1441,7 +1487,7 @@ mod tests {
                 1,
                 0,
                 i as u32,
-                i,
+                0,
             )
             .unwrap();
         }
@@ -1676,6 +1722,54 @@ mod tests {
             "7 faulty links x 10 extra cycles must show up ({t_healthy} -> {t_slow})"
         );
         assert_eq!(slow.stats().packets_dropped.get(), 0);
+    }
+
+    #[test]
+    fn flits_behind_a_delayed_head_land_with_it_after_the_window_closes() {
+        use noclat_sim::faults::{CycleWindow, FaultPlan, LinkFault};
+        // Router 0's links add 20 cycles in [0, 5): the head of a 5-flit
+        // packet leaves at 4, inside the window, and lands at 25; its body
+        // and tail leave after the window closed and must still land behind
+        // it. A debug build audits the credits of every link on every tick.
+        let mut plan = FaultPlan::none();
+        plan.links.push(LinkFault {
+            node: Some(0),
+            drop_prob: 0.0,
+            extra_delay: 20,
+            window: CycleWindow { start: 0, end: 5 },
+        });
+        let cfg = SystemConfig::baseline_32();
+        let mut net: Network<u32> = Network::with_faults(Topology::new(8, 4), cfg.noc, &plan);
+        net.inject(
+            NodeId(0),
+            NodeId(2),
+            VNet::Response,
+            Priority::Normal,
+            5,
+            0,
+            1,
+            0,
+        )
+        .unwrap();
+        let mut leaving_router_1 = Vec::new();
+        let mut delivered = None;
+        for t in 0..100 {
+            net.tick_with(t, &mut |hop: &Hop| {
+                if hop.node == NodeId(1) {
+                    leaving_router_1.push(hop.cycle);
+                }
+            });
+            if let Some(d) = net.take_delivered(NodeId(2)).pop() {
+                delivered = Some((t, d.payload));
+            }
+        }
+        // All five landed at 25 and leave router 1 one per cycle from its
+        // pipeline depth on, head first (a body flit at the front of an
+        // unrouted VC would have wedged it).
+        assert_eq!(leaving_router_1, vec![29, 30, 31, 32, 33]);
+        assert_eq!(delivered, Some((38, 1)), "the packet arrives whole");
+        assert_eq!(net.packets_in_flight(), 0);
+        assert_eq!(net.next_event(100), None);
     }
 
     #[test]

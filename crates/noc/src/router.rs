@@ -28,6 +28,11 @@ use crate::topology::{Dir, NodeId, Topology};
 /// Ports of the widest router (express): the length of per-port set arrays.
 const MAX_PORTS: usize = Dir::EXPRESS_ALL.len();
 
+/// Buckets of the pipeline wheel, one per cycle a parked front may wait for.
+/// A front is filed at most `min_residency()` (4) cycles before it is ready,
+/// so it parks once and is re-filed exactly on its ready cycle.
+const PIPE_WHEEL: usize = 8;
+
 // Every input VC of a router that validates is one bit of a `Bits`.
 const _: () = assert!(NocConfig::MAX_ROUTER_VCS <= Bits::CAPACITY);
 
@@ -160,12 +165,12 @@ pub struct Router {
     /// VCs with a route and a downstream VC whose front may traverse (SA's
     /// work).
     sa_ready: Bits,
-    /// SA VCs whose front is still in the pipeline; re-filed by the first
-    /// tick at or after `wake_at`.
-    parked_pipe: Bits,
-    /// At most the earliest `ready_at` of a `parked_pipe` front
-    /// (`Cycle::MAX` when there is none).
-    wake_at: Cycle,
+    /// SA VCs whose front is still in the pipeline, by the cycle they are
+    /// due — `ready_at`, or `pipe_from` if that is later — modulo
+    /// [`PIPE_WHEEL`]. A tick re-files the buckets due since the last one.
+    pipe_wheel: [Bits; PIPE_WHEEL],
+    /// The first cycle whose wheel bucket no tick has re-filed yet.
+    pipe_from: Cycle,
     /// SA VCs without a credit for their downstream VC; re-filed by
     /// [`Router::apply_credit`] for that VC.
     parked_credit: Bits,
@@ -234,8 +239,8 @@ impl Router {
             needs_va: [Bits::default(); MAX_PORTS],
             va_ports: Bits::default(),
             sa_ready: Bits::default(),
-            parked_pipe: Bits::default(),
-            wake_at: Cycle::MAX,
+            pipe_wheel: [Bits::default(); PIPE_WHEEL],
+            pipe_from: 0,
             parked_credit: Bits::default(),
             parked_va: [Bits::default(); MAX_PORTS],
             scratch: None,
@@ -331,6 +336,11 @@ impl Router {
         if bypass {
             self.counters.flits_bypassed += 1;
         }
+        if self.occupancy == 0 {
+            // An empty router has nothing parked: its wheel may start at
+            // `now`, so the first tick back re-files one bucket, not all.
+            self.pipe_from = self.pipe_from.max(now);
+        }
         let at = usize::from(state.head) + len;
         self.flits[slot * depth + if at < depth { at } else { at - depth }] = flit;
         state.len += 1;
@@ -396,9 +406,7 @@ impl Router {
         if !self.va_ports.is_empty() {
             self.vc_allocate(now, scratch);
         }
-        if now >= self.wake_at {
-            self.unpark_pipeline(now);
-        }
+        self.unpark_pipeline(now);
         if !self.sa_ready.is_empty() {
             self.switch_allocate_and_traverse(now, scratch);
         }
@@ -527,8 +535,7 @@ impl Router {
     fn file_for_sa(&mut self, slot: usize, now: Cycle) {
         let ready_at = self.front(slot).ready_at;
         if ready_at > now {
-            self.wake_at = self.wake_at.min(ready_at);
-            self.parked_pipe.insert(slot);
+            self.pipe_wheel[Self::pipe_bucket(ready_at.max(self.pipe_from))].insert(slot);
         } else if self.has_credit(slot) {
             self.sa_ready.insert(slot);
         } else {
@@ -545,13 +552,23 @@ impl Router {
         route == Dir::Local || self.credits[self.slot(route, usize::from(out_vc))] > 0
     }
 
-    /// Re-files every front parked in the pipeline; those not yet ready
-    /// park again and set the next `wake_at`.
+    /// Re-files the fronts of the wheel buckets due from `pipe_from` to
+    /// `now`. After a gap of a whole turn (a clock divider, a stall) that is
+    /// every bucket, and the fronts not yet ready park again.
     fn unpark_pipeline(&mut self, now: Cycle) {
-        self.wake_at = Cycle::MAX;
-        for slot in std::mem::take(&mut self.parked_pipe) {
-            self.file_for_sa(slot, now);
+        let span = (now + 1)
+            .saturating_sub(self.pipe_from)
+            .min(PIPE_WHEEL as Cycle);
+        for cycle in self.pipe_from..self.pipe_from + span {
+            for slot in std::mem::take(&mut self.pipe_wheel[Self::pipe_bucket(cycle)]) {
+                self.file_for_sa(slot, now);
+            }
         }
+        self.pipe_from = self.pipe_from.max(now + 1);
+    }
+
+    fn pipe_bucket(cycle: Cycle) -> usize {
+        cycle as usize % PIPE_WHEEL
     }
 
     /// SA phase 1 (one VC per input port), SA phase 2 (one input per output
@@ -677,10 +694,10 @@ impl Router {
     /// scan of every VC (debug builds, from `Network::check_active_sets`):
     /// every non-empty VC is in exactly one set and an empty one in none, a
     /// VC parked for a credit holds none, a header parked for a VC has no
-    /// free VC in its class, `wake_at` is no later than any parked front's
-    /// `ready_at`, an SA-ready front is ready at `now` with a credit, the
-    /// ownership table names every taken downstream VC, and `occupancy`
-    /// counts the buffered flits.
+    /// free VC in its class, a front parked in the pipeline sits in the
+    /// wheel bucket of the cycle it is due, an SA-ready front is ready at
+    /// `now` with a credit, the ownership table names every taken
+    /// downstream VC, and `occupancy` counts the buffered flits.
     pub(crate) fn check_invariants(&self, now: Cycle) {
         let node = self.node;
         let v = self.cfg.vcs_per_port;
@@ -709,7 +726,9 @@ impl Router {
         };
         file(self.needs_rc);
         file(self.sa_ready);
-        file(self.parked_pipe);
+        for bucket in self.pipe_wheel {
+            file(bucket);
+        }
         file(self.parked_credit);
         for port in 0..self.mesh.num_ports() {
             file(self.needs_va[port]);
@@ -747,13 +766,17 @@ impl Router {
                 "router {node}: VC {slot} parked for a credit holds one"
             );
         }
-        for slot in self.parked_pipe {
-            let ready_at = self.front(slot).ready_at;
-            assert!(
-                self.wake_at <= ready_at,
-                "router {node}: wakes at {} after VC {slot}'s front is ready at {ready_at}",
-                self.wake_at
-            );
+        for (bucket, parked) in self.pipe_wheel.into_iter().enumerate() {
+            for slot in parked {
+                let ready_at = self.front(slot).ready_at;
+                assert_eq!(
+                    Self::pipe_bucket(ready_at.max(self.pipe_from)),
+                    bucket,
+                    "router {node}: VC {slot}'s front, ready at {ready_at}, is parked in the \
+                     wrong bucket (wheel from {})",
+                    self.pipe_from
+                );
+            }
         }
     }
 
@@ -1151,17 +1174,18 @@ mod tests {
             flit(1, FlitKind::HeadTail, dest, 0, Priority::Normal),
             10,
         );
-        // Tick 10 routes and allocates, and parks the front until 14.
+        // Tick 10 routes and allocates, and parks the front in the bucket
+        // of cycle 14.
         assert!(r.tick(10).traversals.is_empty());
-        assert!(r.parked_pipe.contains(slot) && !r.sa_ready.contains(slot));
-        assert_eq!(r.wake_at, 14);
+        assert!(r.pipe_wheel[14 % PIPE_WHEEL].contains(slot) && !r.sa_ready.contains(slot));
+        assert_eq!(r.pipe_from, 11);
         r.check_invariants(10);
         assert!(r.tick(13).traversals.is_empty());
         assert_eq!(
             sent_over(&mut r, 14..15),
             vec![(14, 1, FlitKind::HeadTail, 0)]
         );
-        assert_eq!(r.wake_at, Cycle::MAX);
+        assert!(r.pipe_wheel.iter().all(|b| b.is_empty()));
         // A clock-divided router ticking long after `ready_at` still finds
         // the front, with the whole wait in its age.
         r.accept_flit(
@@ -1170,11 +1194,46 @@ mod tests {
             20,
         );
         assert!(r.tick(21).traversals.is_empty());
-        assert_eq!(r.wake_at, 24);
+        assert!(r.pipe_wheel[24 % PIPE_WHEEL].contains(slot));
         let out = r.tick(30);
         assert_eq!(out.traversals.len(), 1);
         assert_eq!(out.traversals[0].flit.age, 10);
         r.check_invariants(30);
+    }
+
+    #[test]
+    fn a_router_stalled_past_a_turn_of_the_wheel_finds_its_fronts_on_the_first_tick_back() {
+        let mut r = Router::new(NodeId(1), mesh(), cfg());
+        let dest = NodeId(3);
+        let (early, late) = (r.slot(Dir::Local, 0), r.slot(Dir::West, 0));
+        r.accept_flit(
+            Dir::Local,
+            flit(1, FlitKind::HeadTail, dest, 0, Priority::Normal),
+            20,
+        );
+        assert!(r.tick(20).traversals.is_empty());
+        assert!(r.pipe_wheel[24 % PIPE_WHEEL].contains(early));
+        // Stalled from 21 to 37, more than a turn of the wheel; a second
+        // front arrives at 37, ready at 41.
+        r.accept_flit(
+            Dir::West,
+            flit(2, FlitKind::HeadTail, dest, 0, Priority::Normal),
+            37,
+        );
+        // The first tick back re-files every bucket: the early front
+        // traverses with its whole wait in its age, the late one parks
+        // again until its own ready cycle.
+        let out = r.tick(38);
+        assert_eq!(out.traversals.len(), 1);
+        assert_eq!(out.traversals[0].flit.packet, PacketId(1));
+        assert_eq!(out.traversals[0].flit.age, 18);
+        assert!(r.pipe_wheel[41 % PIPE_WHEEL].contains(late));
+        r.check_invariants(38);
+        assert_eq!(
+            sent_over(&mut r, 39..50),
+            vec![(41, 2, FlitKind::HeadTail, 1)]
+        );
+        r.check_invariants(49);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! This crate holds the pieces every other crate in the workspace shares:
 //!
 //! * [`Cycle`] — the global time unit (one core clock cycle),
+//! * [`calendar`] — a queue of work filed by the cycle it falls due, the
+//!   flit wires' and the deferred cache-bank work's timeline,
 //! * [`config`] — the full system configuration, with defaults mirroring the
 //!   paper's Table 1,
 //! * [`rng`] — seeded, splittable random number generation so whole-system
@@ -35,6 +37,7 @@
 //! assert_eq!(cfg.mem.num_controllers, 4);
 //! ```
 
+pub mod calendar;
 pub mod cancel;
 pub mod check;
 pub mod config;

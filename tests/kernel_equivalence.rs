@@ -16,11 +16,13 @@ use std::sync::{Arc, Mutex};
 
 use noclat_repro::noc::Hop;
 use noclat_repro::sim::config::{RouterPipeline, TopologyConfig};
-use noclat_repro::sim::faults::{BankFault, BankFaultKind, CycleWindow, FaultPlan, RouterStall};
+use noclat_repro::sim::faults::{
+    BankFault, BankFaultKind, CycleWindow, FaultPlan, LinkFault, RouterStall,
+};
 use noclat_repro::workloads::workload;
 use noclat_repro::{
-    KernelKind, McDequeue, Probe, RequestPolicyKind, ResponsePolicyKind, Retire, Simulation,
-    StarvationPolicy, SystemConfig, TopologyOverride,
+    KernelKind, McDequeue, Probe, RequestPolicyKind, ResponsePolicyKind, Retire, RobustnessStats,
+    Simulation, StarvationPolicy, SystemConfig, TopologyOverride,
 };
 
 /// Cycles per run: long enough that Scheme-1's 10k-cycle threshold-update
@@ -91,6 +93,7 @@ struct Fingerprint {
     controller_reads: Vec<u64>,
     txns_in_flight: usize,
     packets_in_flight: usize,
+    robustness: RobustnessStats,
     violations: Vec<String>,
     events: Vec<String>,
 }
@@ -138,6 +141,7 @@ fn run_cell(
             .collect(),
         txns_in_flight: sys.txns_in_flight(),
         packets_in_flight: sys.packets_in_flight(),
+        robustness: sys.robustness(),
         violations,
         events,
     }
@@ -309,6 +313,41 @@ fn faulted_run_matches() {
         });
     }
     assert_kernels_agree("faulted", &cfg, &plan);
+}
+
+/// Link faults: drops on every link, refunded credits and far-future
+/// re-injections after the retry backoff, and a delayed router whose later
+/// flits queue behind each delayed head on the wire.
+#[test]
+fn link_faulted_run_matches() {
+    let mut cfg = SystemConfig::baseline_32();
+    cfg.recovery.enabled = true;
+    cfg.watchdog.deadlock_cycles = 2_000;
+    let mut plan = FaultPlan::none();
+    plan.links.push(LinkFault {
+        node: None,
+        drop_prob: 0.02,
+        extra_delay: 0,
+        window: CycleWindow {
+            start: 2_000,
+            end: 5_000,
+        },
+    });
+    plan.links.push(LinkFault {
+        node: Some(9),
+        drop_prob: 0.0,
+        extra_delay: 7,
+        window: CycleWindow {
+            start: 3_000,
+            end: 8_000,
+        },
+    });
+    let fp = assert_kernels_agree_for("link-faulted", &cfg, &plan, 0, RUN_CYCLES);
+    let r = fp.robustness;
+    assert!(
+        r.packets_dropped > 0 && r.retries == r.packets_dropped && r.lost_txns == 0,
+        "link-faulted: the cell must drop and re-inject packets and lose none: {r:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
