@@ -542,9 +542,7 @@ impl AnalyticModel {
     // -- operating-point queries ------------------------------------------
 
     /// Scheme-1 activity: selected as the response policy and the run long
-    /// enough for the first periodic threshold update to fire. The
-    /// `oldest-first` and `static` kinds have no priority-class model here:
-    /// like `baseline`, they are modelled with the class off.
+    /// enough for the first periodic threshold update to fire.
     fn scheme1_active(&self) -> bool {
         if self.cfg.policy.response != ResponsePolicyKind::Scheme1 {
             return false;
@@ -555,8 +553,7 @@ impl AnalyticModel {
         }
     }
 
-    /// Scheme-2 activity: selected as the request policy (`oldest-first` and
-    /// `static` are modelled as baseline, as for responses).
+    /// Scheme-2 activity: selected as the request policy.
     fn scheme2_active(&self) -> bool {
         self.cfg.policy.request == RequestPolicyKind::Scheme2
     }
@@ -937,10 +934,11 @@ mod tests {
         let both = report(&base.clone().with_scheme(Scheme::Both));
         assert_eq!(both, report(&by_field));
         assert_ne!(both, report(&base));
-        // Kinds without a priority-class model are modelled as baseline.
-        let mut unmodelled = base.clone();
-        unmodelled.policy.request = RequestPolicyKind::OldestFirst;
-        unmodelled.policy.response = ResponsePolicyKind::Static;
-        assert_eq!(report(&unmodelled), report(&base));
+        // Each slot is read on its own: `req=scheme2` alone is Scheme-2.
+        let mut request_only = base.clone();
+        request_only.policy.request = RequestPolicyKind::Scheme2;
+        let s2 = report(&base.clone().with_scheme(Scheme::S2));
+        assert_eq!(s2, report(&request_only));
+        assert_ne!(s2, both);
     }
 }

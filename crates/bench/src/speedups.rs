@@ -4,7 +4,9 @@
 //! the machinery removed (the priority and scheduler ablations). Each runs
 //! two pool phases — alone-IPC denominators, then the mix grid.
 
-use noclat::{weighted_speedup_of, MemSchedPolicy, RouterPipeline, Scheme, SystemConfig};
+use noclat::{
+    weighted_speedup_of, MemSchedPolicy, RouterPipeline, Scheme, StarvationPolicy, SystemConfig,
+};
 use noclat_engine::{self as sweep, AloneMap, Json, MixCell, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 use noclat_workloads::{indices_of, SpecApp, Workload, WorkloadKind};
@@ -356,7 +358,7 @@ pub fn ablation_vcs(args: &SweepArgs, _: &[String]) -> Json {
 /// weighted speedup, so the extractor carries both tables and picks the one
 /// of the scheduler the cell ran.
 pub fn ablation_memsched(args: &SweepArgs, _: &[String]) -> Json {
-    const SCHEDS: [MemSchedPolicy; 2] = [MemSchedPolicy::FrFcfs, MemSchedPolicy::Fcfs];
+    const SCHEDS: [MemSchedPolicy; 2] = MemSchedPolicy::ALL;
     let apps = w(8).apps();
     let hws = SCHEDS.map(|sched| {
         let mut hw = seeded(SystemConfig::baseline_32(), args);
@@ -410,23 +412,27 @@ pub fn ablation_memsched(args: &SweepArgs, _: &[String]) -> Json {
 
 /// Ablation — which parts of the prioritization machinery matter?
 /// Scheme-1+2 against itself with pipeline bypassing disabled (arbitration
-/// priority only), with the starvation age guard at zero (strict priority),
-/// and against each scheme alone, on workload-8 (memory-intensive, the most
-/// sensitive to all three).
+/// priority only), with the starvation age guard at zero (oldest-first
+/// arbitration: priority only breaks age ties), with strict priority (the
+/// class alone decides, no guard), and against each scheme alone, on
+/// workload-8 (memory-intensive, the most sensitive to all of them).
 pub fn ablation_priority(args: &SweepArgs, _: &[String]) -> Json {
     let hw = seeded(SystemConfig::baseline_32(), args);
     let full = hw.clone().with_scheme(Scheme::Both);
     let mut no_bypass = full.clone();
     no_bypass.noc.bypass_enabled = false;
+    let mut zero_guard = full.clone();
+    zero_guard.noc.starvation_age_guard = 0;
     let mut strict = full.clone();
-    strict.noc.starvation_age_guard = 0;
+    strict.noc.starvation = StarvationPolicy::StaticPriority;
     let variants = [
         ("baseline", "baseline WS", hw.clone()),
         ("s1", "Scheme-1 only", hw.clone().with_scheme(Scheme::S1)),
         ("s2", "Scheme-2 only", hw.clone().with_scheme(Scheme::S2)),
         ("full", "Scheme-1+2 (full)", full),
         ("no_bypass", "Scheme-1+2, no bypassing", no_bypass),
-        ("strict", "Scheme-1+2, zero age guard", strict),
+        ("zero_guard", "Scheme-1+2, oldest-first (T=0)", zero_guard),
+        ("static", "Scheme-1+2, strict priority", strict),
     ];
     let cells = variants.iter().map(|(name, _, cfg)| {
         let cell = MixCell::new(format!("priority/{name}"), cfg.clone(), w(8).apps());

@@ -3,10 +3,13 @@
 //! binaries moved onto the `MixCell` runners: stdout, the `--json` report,
 //! and a hash of the `--resume` journal's sorted record lines (labels are
 //! journal addresses, so an old journal must resume under a new binary).
-//! One address has moved since: an alone cell's label hashes the `{:?}` of
-//! its `SystemConfig`, so the nine harnesses that journal alone cells were
-//! re-pinned in `journals.txt` when the policy selection became two typed
-//! fields (their mix cells, stdout and JSON did not move).
+//! Alone-cell addresses have moved twice since: an alone cell's label hashes
+//! the `{:?}` of its `SystemConfig`, so the nine harnesses that journal alone
+//! cells were re-pinned in `journals.txt` when the policy selection became
+//! two typed fields, and again when the page-policy field left `MemConfig`
+//! (neither time did their mix cells, stdout or JSON move). Separately,
+//! `ablation_priority` re-pinned all three of its files when its zero-guard
+//! row was relabelled oldest-first and a strict-priority row was added.
 //!
 //! Release-only (`cargo test --release -p noclat-bench --test
 //! figure_goldens`): 25 real sweeps are too slow for the debug suite. After
@@ -320,7 +323,7 @@ fn topology_override_reaches_the_once_blind_harnesses() {
     assert_eq!(rejected.status.code(), Some(2), "the fabric is its axis");
     // Its model column describes the pinned cells; simulating others under
     // the same row labels would compare two different systems.
-    for flag in [["--topology", "mesh"], ["--policy", "req=oldest-first"]] {
+    for flag in [["--topology", "mesh"], ["--policy", "arb=static"]] {
         let rejected = spawn("analytic_validate", &dir, &flag);
         let stderr = String::from_utf8_lossy(&rejected.stderr);
         assert_eq!(rejected.status.code(), Some(2), "{flag:?}: {stderr}");

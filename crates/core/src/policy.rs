@@ -21,15 +21,10 @@
 
 use noclat_noc::Priority;
 use noclat_sim::config::{RequestPolicyKind, ResponsePolicyKind, SystemConfig};
-use noclat_sim::stats::Ewma;
 use noclat_sim::Cycle;
 
 use crate::scheme1::{Scheme1, ThresholdTable};
 use crate::scheme2::BankHistoryTable;
-
-/// Smoothing weight for the oldest-first policies' running age averages
-/// (mirrors Scheme-1's `Delay_avg` smoothing so the two are comparable).
-const OLDEST_FIRST_ALPHA: f64 = 0.05;
 
 fn expedite(yes: bool) -> Priority {
     if yes {
@@ -37,43 +32,6 @@ fn expedite(yes: bool) -> Priority {
     } else {
         Priority::Normal
     }
-}
-
-/// State of the global-age ("oldest-first") policies: expedite a message
-/// whose so-far delay exceeds `factor ×` the running average of all delays
-/// seen at the same decision point. A message-free, locally-computed
-/// ablation of Scheme-1's core-driven thresholds (the comparison uses the
-/// pre-update average, then records, so the decision sequence is
-/// deterministic).
-#[derive(Debug, Clone)]
-pub struct RunningAge {
-    avg: Ewma,
-    factor: f64,
-}
-
-impl RunningAge {
-    /// Uses the Scheme-1 threshold factor so the two are comparable.
-    fn new(cfg: &SystemConfig) -> Self {
-        RunningAge {
-            avg: Ewma::new(OLDEST_FIRST_ALPHA),
-            factor: cfg.scheme1.threshold_factor,
-        }
-    }
-
-    fn decide(&mut self, age: u32) -> Priority {
-        let avg = self.avg.value();
-        let late = avg.is_some_and(|avg| f64::from(age) > self.factor * avg);
-        self.avg.record(f64::from(age));
-        expedite(late)
-    }
-}
-
-/// The static criticality classes: the lower half of the core IDs is always
-/// high priority, everyone else never is. Models the fixed-priority end of
-/// the criticality spectrum discussed in the *Data Criticality in
-/// Network-on-Chip Design* line of related work (PAPERS.md).
-fn high_cores(cfg: &SystemConfig) -> usize {
-    cfg.num_cores() / 2
 }
 
 /// Decision point 1: the priority an L2 miss gets when it is injected into
@@ -85,13 +43,6 @@ pub enum RequestPolicy {
     /// Scheme-2 (Section 3.2): one Bank History Table per node expedites
     /// requests aimed at banks this tile has not used recently.
     Scheme2(Vec<BankHistoryTable>),
-    /// Expedite requests older than the running average age.
-    OldestFirst(RunningAge),
-    /// The first `high_cores` cores' requests are always expedited.
-    Static {
-        /// Size of the high-priority class.
-        high_cores: usize,
-    },
 }
 
 impl RequestPolicy {
@@ -106,10 +57,6 @@ impl RequestPolicy {
                     .map(|_| BankHistoryTable::new(cfg.scheme2, total_banks))
                     .collect(),
             ),
-            RequestPolicyKind::OldestFirst => Self::OldestFirst(RunningAge::new(cfg)),
-            RequestPolicyKind::Static => Self::Static {
-                high_cores: high_cores(cfg),
-            },
         }
     }
 
@@ -119,24 +66,14 @@ impl RequestPolicy {
         let kind = match self {
             Self::Baseline => RequestPolicyKind::Baseline,
             Self::Scheme2(_) => RequestPolicyKind::Scheme2,
-            Self::OldestFirst(_) => RequestPolicyKind::OldestFirst,
-            Self::Static { .. } => RequestPolicyKind::Static,
         };
         kind.name()
     }
 
     /// Decides the injection priority of an off-chip request leaving the L2
-    /// bank at `node`, issued by `core`, targeting global DRAM `bank`, with
-    /// so-far delay `age`. Called exactly once per injected request (a
-    /// stateful policy records the event).
-    pub fn request_priority(
-        &mut self,
-        node: usize,
-        bank: usize,
-        core: usize,
-        age: u32,
-        now: Cycle,
-    ) -> Priority {
+    /// bank at `node`, targeting global DRAM `bank`. Called exactly once
+    /// per injected request (a stateful policy records the event).
+    pub fn request_priority(&mut self, node: usize, bank: usize, now: Cycle) -> Priority {
         match self {
             Self::Baseline => Priority::Normal,
             Self::Scheme2(tables) => {
@@ -144,15 +81,13 @@ impl RequestPolicy {
                 tables[node].record(bank, now);
                 expedite(idle)
             }
-            Self::OldestFirst(ages) => ages.decide(age),
-            Self::Static { high_cores } => expedite(core < *high_cores),
         }
     }
 }
 
 /// Decision point 2: the priority a memory controller gives a response it
 /// is about to inject, plus the feedback/update side-channel Scheme-1 uses
-/// (the other policies take no part in it).
+/// (the baseline takes no part in it).
 #[derive(Debug, Clone)]
 pub enum ResponsePolicy {
     /// Every response at normal priority: the schemes disabled.
@@ -165,13 +100,6 @@ pub enum ResponsePolicy {
         cores: Scheme1,
         /// One threshold table per controller.
         tables: Vec<ThresholdTable>,
-    },
-    /// Expedite responses older than the running average age.
-    OldestFirst(RunningAge),
-    /// The first `high_cores` cores' responses are always expedited.
-    Static {
-        /// Size of the high-priority class.
-        high_cores: usize,
     },
 }
 
@@ -186,10 +114,6 @@ impl ResponsePolicy {
                 cores: Scheme1::new(cfg.scheme1, n),
                 tables: vec![ThresholdTable::new(n); cfg.mem.num_controllers],
             },
-            ResponsePolicyKind::OldestFirst => Self::OldestFirst(RunningAge::new(cfg)),
-            ResponsePolicyKind::Static => Self::Static {
-                high_cores: high_cores(cfg),
-            },
         }
     }
 
@@ -199,8 +123,6 @@ impl ResponsePolicy {
         let kind = match self {
             Self::Baseline => ResponsePolicyKind::Baseline,
             Self::Scheme1 { .. } => ResponsePolicyKind::Scheme1,
-            Self::OldestFirst(_) => ResponsePolicyKind::OldestFirst,
-            Self::Static { .. } => ResponsePolicyKind::Static,
         };
         kind.name()
     }
@@ -253,8 +175,6 @@ impl ResponsePolicy {
         match self {
             Self::Baseline => Priority::Normal,
             Self::Scheme1 { tables, .. } => expedite(tables[mc].is_late(core, so_far_delay)),
-            Self::OldestFirst(ages) => ages.decide(so_far_delay),
-            Self::Static { high_cores } => expedite(core < *high_cores),
         }
     }
 }
@@ -294,7 +214,7 @@ mod tests {
         let mut req = request(RequestPolicyKind::Baseline);
         let mut resp = response(ResponsePolicyKind::Baseline);
         for i in 0..8 {
-            assert_eq!(req.request_priority(i, i, i, 4000, 100), Priority::Normal);
+            assert_eq!(req.request_priority(i, i, 100), Priority::Normal);
             assert_eq!(resp.response_priority(0, i, 4000), Priority::Normal);
         }
         assert!(resp.poll_updates(10_000).is_empty());
@@ -307,12 +227,12 @@ mod tests {
         let mut p = request(RequestPolicyKind::Scheme2);
         // First request to an idle bank is expedited; an immediate repeat
         // from the same node is not; other nodes keep their own history.
-        assert_eq!(p.request_priority(3, 7, 3, 0, 1000), Priority::High);
-        assert_eq!(p.request_priority(3, 7, 3, 0, 1010), Priority::Normal);
-        assert_eq!(p.request_priority(4, 7, 4, 0, 1010), Priority::High);
+        assert_eq!(p.request_priority(3, 7, 1000), Priority::High);
+        assert_eq!(p.request_priority(3, 7, 1010), Priority::Normal);
+        assert_eq!(p.request_priority(4, 7, 1010), Priority::High);
         // The window expires.
         let past = 1010 + c.scheme2.history_window + 1;
-        assert_eq!(p.request_priority(3, 7, 3, 0, past), Priority::High);
+        assert_eq!(p.request_priority(3, 7, past), Priority::High);
     }
 
     #[test]
@@ -343,33 +263,5 @@ mod tests {
             p.response_priority(0, core, threshold + 1),
             Priority::Normal
         );
-    }
-
-    #[test]
-    fn oldest_first_expedites_above_running_average() {
-        let mut p = response(ResponsePolicyKind::OldestFirst);
-        // First observation can never be late (no average yet).
-        assert_eq!(p.response_priority(0, 0, 1000), Priority::Normal);
-        for _ in 0..100 {
-            p.response_priority(0, 0, 100);
-        }
-        // 1.2 × ~100 = ~120: 400 is late, 100 is not.
-        assert_eq!(p.response_priority(0, 0, 400), Priority::High);
-        assert_eq!(p.response_priority(0, 0, 100), Priority::Normal);
-        // The request side runs the same rule on the request's age.
-        let mut p = request(RequestPolicyKind::OldestFirst);
-        assert_eq!(p.request_priority(0, 0, 0, 1000, 0), Priority::Normal);
-        assert_eq!(p.request_priority(0, 0, 0, 5000, 0), Priority::High);
-    }
-
-    #[test]
-    fn static_policy_splits_by_core_id() {
-        let half = cfg().num_cores() / 2;
-        let mut req = request(RequestPolicyKind::Static);
-        assert_eq!(req.request_priority(0, 0, half - 1, 0, 0), Priority::High);
-        assert_eq!(req.request_priority(0, 0, half, 0, 0), Priority::Normal);
-        let mut resp = response(ResponsePolicyKind::Static);
-        assert_eq!(resp.response_priority(0, half - 1, 0), Priority::High);
-        assert_eq!(resp.response_priority(0, half, 0), Priority::Normal);
     }
 }

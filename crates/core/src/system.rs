@@ -1256,7 +1256,7 @@ impl System {
                 let bank = self.addr_map.global_bank(line);
                 // Decision point 1: the request policy picks the priority
                 // this miss rides to the controller with.
-                let priority = self.req_policy.request_priority(node, bank, core, age, now);
+                let priority = self.req_policy.request_priority(node, bank, now);
                 let mc_node = self.mcs[self.addr_map.decode(line).controller].node;
                 let msg = MemMsg::MemReq { txn, line };
                 self.send(node, mc_node, msg, priority, out_age, now);

@@ -438,8 +438,7 @@ mod tests {
             ),
             (
                 &["--policy", "req=x"],
-                "--policy: unknown request policy \"x\" \
-                 (known: baseline, scheme2, oldest-first, static)",
+                "--policy: unknown request policy \"x\" (known: baseline, scheme2)",
             ),
             (
                 &["--prune", "x"],
@@ -453,14 +452,16 @@ mod tests {
 
     #[test]
     fn usage_quotes_every_name_of_the_shared_vocabularies() {
-        use noclat::{McPlacement, RequestPolicyKind, ResponsePolicyKind, TopologyKind};
+        use noclat::{
+            McPlacement, RequestPolicyKind, ResponsePolicyKind, StarvationPolicy, TopologyKind,
+        };
         let usage = sweep_usage();
         let names = (KernelKind::ALL.map(|v| v.name()).into_iter())
             .chain(TopologyKind::ALL.map(|v| v.name()))
             .chain(McPlacement::ALL.map(|v| v.name()))
             .chain(RequestPolicyKind::ALL.map(|v| v.name()))
             .chain(ResponsePolicyKind::ALL.map(|v| v.name()))
-            .chain(["age-guard", "batching"]);
+            .chain(StarvationPolicy::ALL.map(|v| v.name()));
         for name in names {
             assert!(usage.contains(name), "{name} missing from: {usage}");
         }
@@ -469,12 +470,13 @@ mod tests {
     #[test]
     fn parse_policy_override_and_apply() {
         let (args, rest) =
-            SweepArgs::parse_argv(&argv(&["--policy", "req=oldest-first,resp=static"])).unwrap();
+            SweepArgs::parse_argv(&argv(&["--policy", "req=scheme2,arb=static"])).unwrap();
         assert!(rest.is_empty());
         let mut cfg = SystemConfig::baseline_32();
         args.apply_policy(&mut cfg);
-        assert_eq!(cfg.policy.request.name(), "oldest-first");
-        assert_eq!(cfg.policy.response.name(), "static");
+        assert_eq!(cfg.policy.request.name(), "scheme2");
+        assert_eq!(cfg.policy.response.name(), "baseline");
+        assert_eq!(cfg.noc.starvation.name(), "static");
         // No --policy: configurations pass through untouched.
         let (args, _) = SweepArgs::parse_argv(&argv(&[])).unwrap();
         let mut cfg = SystemConfig::baseline_32();
@@ -571,10 +573,11 @@ mod tests {
         assert_ne!(fp, sweep_fingerprint(&seeded));
         let (windowed, _) = SweepArgs::parse_argv(&argv(&["--measure", "12345"])).unwrap();
         assert_ne!(fp, sweep_fingerprint(&windowed));
-        let (polic, _) = SweepArgs::parse_argv(&argv(&["--policy", "req=oldest-first"])).unwrap();
+        let (polic, _) = SweepArgs::parse_argv(&argv(&["--policy", "arb=static"])).unwrap();
         assert_ne!(fp, sweep_fingerprint(&polic));
-        // A `--policy` journal written when the slots were strings resumes:
-        // the value below is that era's fingerprint of these arguments.
+        // A `--policy` journal written before the policy vocabulary shrank
+        // still resumes: the value below is that vocabulary's fingerprint of
+        // these arguments.
         let (full, _) = SweepArgs::parse_argv(&argv(&[
             "--seed",
             "203354130",
@@ -583,10 +586,10 @@ mod tests {
             "--measure",
             "20000",
             "--policy",
-            "req=scheme2,resp=oldest-first,arb=batching:2000",
+            "req=scheme2,resp=scheme1,arb=static",
         ]))
         .unwrap();
-        assert_eq!(sweep_fingerprint(&full), 0xbcc8_3a43_c2df_0dfe);
+        assert_eq!(sweep_fingerprint(&full), 0x945a_f2ea_0f2e_363f);
         let (topo, _) = SweepArgs::parse_argv(&argv(&["--topology", "torus"])).unwrap();
         assert_ne!(fp, sweep_fingerprint(&topo));
         let (skipped, _) = SweepArgs::parse_argv(&argv(&["--topology", "express:skip=4"])).unwrap();

@@ -672,11 +672,13 @@ mod tests {
             alone_key(&base),
             alone_key(&base.clone().with_both_schemes())
         );
-        // Policy selection is also contention-only: alone runs share a key.
-        let mut with_policy = base.clone();
-        with_policy.policy.request = RequestPolicyKind::OldestFirst;
-        with_policy.policy.response = ResponsePolicyKind::Static;
-        assert_eq!(alone_key(&base), alone_key(&with_policy));
+        // Either slot alone is also contention-only: alone runs share a key.
+        let mut request_only = base.clone();
+        request_only.policy.request = RequestPolicyKind::Scheme2;
+        assert_eq!(alone_key(&base), alone_key(&request_only));
+        let mut response_only = base.clone();
+        response_only.policy.response = ResponsePolicyKind::Scheme1;
+        assert_eq!(alone_key(&base), alone_key(&response_only));
         let mut more_vcs = base.clone();
         more_vcs.noc.vcs_per_port = 8;
         assert_ne!(alone_key(&base), alone_key(&more_vcs));

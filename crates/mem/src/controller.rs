@@ -17,7 +17,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use noclat_sim::config::{MemConfig, MemSchedPolicy, PagePolicy};
+use noclat_sim::config::{MemConfig, MemSchedPolicy};
 use noclat_sim::error::SimError;
 use noclat_sim::faults::{ControllerFaultState, FaultPlan};
 use noclat_sim::stats::{Counter, RunningMean};
@@ -91,9 +91,6 @@ pub struct MemoryController {
     last_rank: Option<usize>,
     last_was_write: Option<bool>,
     next_refresh: Cycle,
-    /// Consecutive row hits served per bank (for the capped FR-FCFS
-    /// policy, which bounds row-hit streaks).
-    hit_streak: Vec<u32>,
     stats: ControllerStats,
     /// Injected DRAM bank faults and ingress stalls for this controller
     /// (empty state = healthy, zero cost).
@@ -115,7 +112,6 @@ impl MemoryController {
         let refresh_interval = Cycle::from(cfg.refresh_period) * Cycle::from(cfg.bus_multiplier);
         MemoryController {
             faults: ControllerFaultState::new(plan, controller_idx),
-            hit_streak: vec![0; cfg.banks_per_controller],
             banks: (0..cfg.banks_per_controller).map(|_| Bank::new()).collect(),
             front: VecDeque::new(),
             pending: BinaryHeap::new(),
@@ -279,15 +275,6 @@ impl MemoryController {
             }
             let pick = match self.cfg.scheduler {
                 MemSchedPolicy::FrFcfs => bank.fr_fcfs_pick(),
-                MemSchedPolicy::FrFcfsCap(cap) => {
-                    // Past the cap, fall back to oldest-first so starved
-                    // row-miss requests make progress.
-                    if self.hit_streak[b] >= cap {
-                        bank.fcfs_pick()
-                    } else {
-                        bank.fr_fcfs_pick()
-                    }
-                }
                 MemSchedPolicy::Fcfs => bank.fcfs_pick(),
             };
             let Some(idx) = pick else { continue };
@@ -296,9 +283,7 @@ impl MemoryController {
             let better = match best {
                 None => true,
                 Some((bh, ba, _, _)) => match self.cfg.scheduler {
-                    MemSchedPolicy::FrFcfs | MemSchedPolicy::FrFcfsCap(_) => {
-                        (hit, Reverse(arrived)) > (bh, Reverse(ba))
-                    }
+                    MemSchedPolicy::FrFcfs => (hit, Reverse(arrived)) > (bh, Reverse(ba)),
                     MemSchedPolicy::Fcfs => arrived < ba,
                 },
             };
@@ -332,15 +317,6 @@ impl MemoryController {
         let bus_start = access_done.max(self.data_bus_free_at);
         let (req, hit) = self.banks[bank_idx].issue(req_idx, access_done);
         debug_assert_eq!(hit, will_hit);
-        if hit {
-            self.hit_streak[bank_idx] += 1;
-        } else {
-            self.hit_streak[bank_idx] = 0;
-        }
-        if self.cfg.page_policy == PagePolicy::Closed {
-            // Eagerly precharge: the next access re-activates.
-            self.banks[bank_idx].close_row();
-        }
         if self.last_was_write.is_some_and(|w| w != req.is_write) {
             penalty_dram += Cycle::from(self.cfg.read_write_delay);
         }
@@ -615,57 +591,6 @@ mod tests {
         assert_eq!(mc.occupancy(), 2);
         let _ = run(&mut mc, 0, 3000);
         assert_eq!(mc.occupancy(), 0);
-    }
-
-    #[test]
-    fn capped_fr_fcfs_bounds_row_hit_streaks() {
-        // One old row-miss request and a stream of row hits: plain FR-FCFS
-        // serves all hits first; the capped variant serves the miss after at
-        // most `cap` hits.
-        let serve_order = |policy: MemSchedPolicy| -> Vec<u64> {
-            let mut c = cfg();
-            c.scheduler = policy;
-            let mut mc = MemoryController::new(c);
-            mc.enqueue(0, 0, 5, false, 0).unwrap(); // opens row 5
-                                                    // While the opener is still in flight, pile up one old row miss
-                                                    // and six younger row hits behind it.
-            let _ = run(&mut mc, 0, 25);
-            mc.enqueue(100, 0, 9, false, 25).unwrap(); // the row miss, oldest
-            for i in 0..6u64 {
-                mc.enqueue(i + 1, 0, 5, false, 26 + i).unwrap(); // younger hits
-            }
-            run(&mut mc, 25, 20_000)
-                .iter()
-                .filter(|d| d.req.token != 0)
-                .map(|d| d.req.token)
-                .collect()
-        };
-        let plain = serve_order(MemSchedPolicy::FrFcfs);
-        let capped = serve_order(MemSchedPolicy::FrFcfsCap(2));
-        let pos = |v: &[u64]| v.iter().position(|&t| t == 100).unwrap();
-        assert_eq!(
-            pos(&plain),
-            plain.len() - 1,
-            "plain FR-FCFS starves the miss"
-        );
-        assert!(
-            pos(&capped) <= 3,
-            "cap must bound the streak (miss served at {})",
-            pos(&capped)
-        );
-    }
-
-    #[test]
-    fn closed_page_policy_never_hits() {
-        let mut c = cfg();
-        c.page_policy = noclat_sim::config::PagePolicy::Closed;
-        let mut mc = MemoryController::new(c);
-        mc.enqueue(1, 0, 5, false, 0).unwrap();
-        mc.enqueue(2, 0, 5, false, 1).unwrap();
-        let done = run(&mut mc, 0, 4000);
-        assert_eq!(done.len(), 2);
-        assert!(done.iter().all(|d| !d.row_hit), "closed page cannot hit");
-        assert_eq!(mc.stats().row_hit_rate(), 0.0);
     }
 
     #[test]

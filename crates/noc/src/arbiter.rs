@@ -23,8 +23,6 @@ pub struct Candidate {
     pub priority: Priority,
     /// Effective age: header age plus time already waited at this router.
     pub effective_age: u64,
-    /// Injection batch (used by the batching starvation policy).
-    pub batch: u32,
 }
 
 /// Scalar arbitration key; larger wins.
@@ -36,36 +34,20 @@ pub fn arbitration_key(priority: Priority, effective_age: u64, starvation_guard:
     }
 }
 
-/// Arbitration key under the batching policy: packets from an older batch
-/// beat any priority difference; within a batch, high priority wins, then
-/// age (the batching method the paper cites and contrasts with its age
-/// guard).
-#[must_use]
-pub fn batching_key(batch: u32, priority: Priority, effective_age: u64) -> u64 {
-    let batch_rank = u64::from(u32::MAX - batch) << 21;
-    let pri = u64::from(priority == Priority::High) << 20;
-    batch_rank + pri + effective_age.min((1 << 20) - 1)
-}
-
 /// Key for a candidate under the configured policy (decision point 3 of
 /// the policy layer); larger wins. Equal keys prefer the higher priority
 /// class, then round-robin — that tie-break lives in
 /// [`RoundRobinArbiter::pick`] and is shared by every policy.
 ///
 /// * `AgeGuard` — the paper's Section-3.3 rule: high priority wins unless a
-///   normal candidate is older by more than the guard `T`.
-/// * `Batching` — the alternative the paper cites: an older batch beats any
-///   priority difference; within a batch, priority then age.
-/// * `OldestFirst` — the oldest flit wins outright; priority only breaks
-///   exact-age ties.
+///   normal candidate is older by more than the guard `T`. Guard 0 is
+///   oldest-first: the oldest flit wins, priority only breaks exact-age ties.
 /// * `StaticPriority` — the priority class alone decides; within a class,
 ///   round-robin. No starvation protection.
 #[must_use]
 pub fn key_for(policy: StarvationPolicy, guard: u32, c: &Candidate) -> u64 {
     match policy {
         StarvationPolicy::AgeGuard => arbitration_key(c.priority, c.effective_age, guard),
-        StarvationPolicy::Batching { .. } => batching_key(c.batch, c.priority, c.effective_age),
-        StarvationPolicy::OldestFirst => c.effective_age,
         StarvationPolicy::StaticPriority => u64::from(c.priority == Priority::High),
     }
 }
@@ -158,14 +140,12 @@ mod tests {
     use super::*;
 
     const AGE_GUARD: StarvationPolicy = StarvationPolicy::AgeGuard;
-    const BATCHING: StarvationPolicy = StarvationPolicy::Batching { interval: 64 };
 
     fn cand(tag: usize, priority: Priority, age: u64) -> Candidate {
         Candidate {
             tag,
             priority,
             effective_age: age,
-            batch: 0,
         }
     }
 
@@ -274,42 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn batching_older_batch_beats_priority() {
-        let old_normal = Candidate {
-            tag: 0,
-            priority: Priority::Normal,
-            effective_age: 5,
-            batch: 2,
-        };
-        let new_high = Candidate {
-            tag: 1,
-            priority: Priority::High,
-            effective_age: 900,
-            batch: 3,
-        };
-        let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick(&[old_normal, new_high], BATCHING, 1000), Some(0));
-    }
-
-    #[test]
-    fn batching_same_batch_uses_priority_then_age() {
-        let normal = Candidate {
-            tag: 0,
-            priority: Priority::Normal,
-            effective_age: 500,
-            batch: 7,
-        };
-        let high = Candidate {
-            tag: 1,
-            priority: Priority::High,
-            effective_age: 5,
-            batch: 7,
-        };
-        let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick(&[normal, high], BATCHING, 1000), Some(1));
-    }
-
-    #[test]
     fn key_saturates() {
         assert_eq!(arbitration_key(Priority::High, u64::MAX, 1000), u64::MAX);
     }
@@ -331,18 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn oldest_first_ignores_priority_static_ignores_age() {
+    fn zero_guard_is_oldest_first_static_ignores_age() {
         let old_normal = cand(0, Priority::Normal, 500);
         let young_high = cand(1, Priority::High, 10);
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(
-            arb.pick(
-                &[old_normal, young_high],
-                StarvationPolicy::OldestFirst,
-                1000
-            ),
-            Some(0)
-        );
+        assert_eq!(arb.pick(&[old_normal, young_high], AGE_GUARD, 0), Some(0));
         let mut arb = RoundRobinArbiter::new();
         assert_eq!(
             arb.pick(

@@ -118,7 +118,7 @@ impl<P> PacketStore<P> {
 }
 
 use noclat_sim::calendar::Calendar;
-use noclat_sim::config::{NocConfig, StarvationPolicy};
+use noclat_sim::config::NocConfig;
 use noclat_sim::error::SimError;
 use noclat_sim::faults::{FaultPlan, LinkFaultState, LinkOutcome, RouterStallState};
 use noclat_sim::stats::{Counter, RunningMean};
@@ -823,12 +823,6 @@ impl<P> Network<P> {
                 // Charge the time spent waiting in the source queue to the
                 // so-far-delay field: the network interface is one of the
                 // "stages" of Equation 1.
-                let batch = match self.cfg.starvation {
-                    StarvationPolicy::Batching { interval } => {
-                        (meta.injected_at / Cycle::from(interval.max(1))) as u32
-                    }
-                    _ => 0,
-                };
                 let flit = Flit {
                     packet: active.id,
                     kind,
@@ -841,7 +835,7 @@ impl<P> Network<P> {
                         self.cfg.freq_mult,
                         self.cfg.max_age(),
                     ),
-                    batch,
+                    batch: 0,
                     vc: v as u8,
                     arrived_at: now,
                     ready_at: now,
@@ -1500,45 +1494,6 @@ mod tests {
             t += 1;
         }
         assert_eq!(net.packets_in_flight(), 0, "Y-X routing lost packets");
-    }
-
-    #[test]
-    fn batching_policy_delivers_everything() {
-        use noclat_sim::config::StarvationPolicy;
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.noc.starvation = StarvationPolicy::Batching { interval: 500 };
-        let mut net: Network<u32> = Network::new(Topology::new(8, 4), cfg.noc);
-        let mut rng = noclat_sim::rng::SimRng::new(5);
-        let mut injected = 0u64;
-        for t in 0..3000u64 {
-            if rng.chance(0.3) {
-                let pri = if rng.chance(0.3) {
-                    Priority::High
-                } else {
-                    Priority::Normal
-                };
-                net.inject(
-                    NodeId(rng.index(32) as u16),
-                    NodeId(rng.index(32) as u16),
-                    VNet::Response,
-                    pri,
-                    5,
-                    0,
-                    0,
-                    t,
-                )
-                .unwrap();
-                injected += 1;
-            }
-            net.tick(t);
-        }
-        let mut t = 3000;
-        while net.packets_in_flight() > 0 && t < 60_000 {
-            net.tick(t);
-            t += 1;
-        }
-        assert_eq!(net.packets_in_flight(), 0);
-        assert_eq!(net.stats().packets_delivered.get(), injected);
     }
 
     #[test]

@@ -92,8 +92,9 @@ pub struct Flit {
     /// Accumulated so-far delay (cycles), saturating at the configured
     /// age-field maximum. Updated per hop.
     pub age: u32,
-    /// Batch interval the packet was injected in (used only under the
-    /// batching starvation policy).
+    /// Always 0; nothing reads it. It stays only because the benchmark
+    /// package builds a `Flit` literal with this field, and that package is
+    /// edited on its own schedule.
     pub batch: u32,
     /// Input VC this flit occupies at the router currently holding it (the
     /// upstream router's allocated output VC).

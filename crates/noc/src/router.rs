@@ -450,7 +450,6 @@ impl Router {
             tag: slot,
             priority: front.priority,
             effective_age: u64::from(front.age) + now.saturating_sub(front.arrived_at),
-            batch: front.batch,
         }
     }
 

@@ -20,14 +20,14 @@ use super::types::{
 };
 
 /// Declares the names of a closed set of values: `Variant = "name"`, input
-/// aliases after a `|`, a payload where the variant carries one.
+/// aliases after a `|`.
 macro_rules! vocabulary {
     ($ty:ident, $noun:literal:
-        $($variant:ident $(($payload:expr))? = $name:literal $(| $alias:literal)*),+ $(,)?) => {
+        $($variant:ident = $name:literal $(| $alias:literal)*),+ $(,)?) => {
         impl $ty {
             /// Every value, in help order.
             #[allow(dead_code)] // the private key sets are only parsed
-            pub const ALL: [Self; [$($name),+].len()] = [$(Self::$variant $(($payload))?),+];
+            pub const ALL: [Self; [$($name),+].len()] = [$(Self::$variant),+];
 
             /// The names, as a usage line quotes them: `a|b|c`.
             #[allow(dead_code)]
@@ -37,7 +37,7 @@ macro_rules! vocabulary {
             #[must_use]
             pub fn name(&self) -> &'static str {
                 match self {
-                    $(Self::$variant { .. } => $name,)+
+                    $(Self::$variant => $name,)+
                 }
             }
 
@@ -48,7 +48,7 @@ macro_rules! vocabulary {
             /// A message listing every known name.
             pub fn parse(value: &str) -> Result<Self, String> {
                 match value {
-                    $($name $(| $alias)* => Ok(Self::$variant $(($payload))?),)+
+                    $($name $(| $alias)* => Ok(Self::$variant),)+
                     _ => Err(format!(
                         concat!("unknown ", $noun, " {:?} (known: {})"),
                         value,
@@ -70,26 +70,12 @@ vocabulary!(McPlacement, "MC placement":
 vocabulary!(KernelKind, "kernel": Cycle = "cycle", Event = "event");
 vocabulary!(Scheme, "scheme":
     Baseline = "baseline" | "none", S1 = "s1", S2 = "s2", Both = "both");
-vocabulary!(RequestPolicyKind, "request policy":
-    Baseline = "baseline", Scheme2 = "scheme2", OldestFirst = "oldest-first", Static = "static");
-vocabulary!(ResponsePolicyKind, "response policy":
-    Baseline = "baseline", Scheme1 = "scheme1", OldestFirst = "oldest-first", Static = "static");
+vocabulary!(RequestPolicyKind, "request policy": Baseline = "baseline", Scheme2 = "scheme2");
+vocabulary!(ResponsePolicyKind, "response policy": Baseline = "baseline", Scheme1 = "scheme1");
 vocabulary!(RoutingAlgorithm, "routing": XY = "xy", YX = "yx");
-// `repro simulate --sched`: the capped scheduler at its one swept cap.
-vocabulary!(MemSchedPolicy, "scheduler":
-    FrFcfs = "frfcfs", FrFcfsCap(4) = "frfcfs-cap", Fcfs = "fcfs");
-
-/// The `arb=` names of [`StarvationPolicy`]; `batching` takes `:INTERVAL`.
-#[derive(Clone, Copy)]
-enum Arbitration {
-    AgeGuard,
-    Batching,
-    OldestFirst,
-    Static,
-}
-vocabulary!(Arbitration, "arbitration policy":
-    AgeGuard = "age-guard", Batching = "batching", OldestFirst = "oldest-first",
-    Static = "static");
+vocabulary!(MemSchedPolicy, "scheduler": FrFcfs = "frfcfs", Fcfs = "fcfs");
+vocabulary!(StarvationPolicy, "arbitration policy":
+    AgeGuard = "age-guard", StaticPriority = "static");
 
 /// The keys of a `--policy` list.
 #[derive(Clone, Copy)]
@@ -117,25 +103,6 @@ fn key_values(list: &str) -> impl Iterator<Item = Result<(&str, &str), String>> 
         part.split_once('=')
             .ok_or_else(|| format!("expected key=value, got {part:?}"))
     })
-}
-
-fn parse_arbitration(value: &str) -> Result<StarvationPolicy, String> {
-    let (name, interval) = match value.split_once(':') {
-        Some((name, interval)) => (name, Some(interval)),
-        None => (value, None),
-    };
-    match (Arbitration::parse(name)?, interval) {
-        (Arbitration::AgeGuard, None) => Ok(StarvationPolicy::AgeGuard),
-        (Arbitration::OldestFirst, None) => Ok(StarvationPolicy::OldestFirst),
-        (Arbitration::Static, None) => Ok(StarvationPolicy::StaticPriority),
-        (Arbitration::Batching, Some(interval)) => match interval.parse() {
-            Ok(0) => Err("batching interval must be positive".to_string()),
-            Ok(interval) => Ok(StarvationPolicy::Batching { interval }),
-            Err(_) => Err(format!("bad batching interval {interval:?}")),
-        },
-        (Arbitration::Batching, None) => Err("batching needs an interval (batching:N)".into()),
-        (name, Some(_)) => Err(format!("{} takes no :parameter", name.name())),
-    }
 }
 
 /// `key=value` for every set slot, comma-separated.
@@ -167,12 +134,12 @@ impl PolicyOverride {
             "req={},resp={},arb={}",
             RequestPolicyKind::HELP,
             ResponsePolicyKind::HELP,
-            Arbitration::HELP
+            StarvationPolicy::HELP
         )
     }
 
     /// Parses a `key=value` list, e.g. `req=scheme2,resp=scheme1` or
-    /// `arb=batching:2000`.
+    /// `arb=static`.
     ///
     /// # Errors
     ///
@@ -185,7 +152,7 @@ impl PolicyOverride {
             match PolicyKey::parse(key)? {
                 PolicyKey::Req => out.request = Some(RequestPolicyKind::parse(value)?),
                 PolicyKey::Resp => out.response = Some(ResponsePolicyKind::parse(value)?),
-                PolicyKey::Arb => out.arbitration = Some(parse_arbitration(value)?),
+                PolicyKey::Arb => out.arbitration = Some(StarvationPolicy::parse(value)?),
             }
         }
         Ok(out)
@@ -215,14 +182,7 @@ impl PolicyOverride {
 /// The set slots as `req=…,resp=…,arb=…`; nothing for the empty override.
 impl fmt::Display for PolicyOverride {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let arbitration = self.arbitration.map(|arb| match arb {
-            StarvationPolicy::AgeGuard => Arbitration::AgeGuard.name().to_string(),
-            StarvationPolicy::OldestFirst => Arbitration::OldestFirst.name().to_string(),
-            StarvationPolicy::StaticPriority => Arbitration::Static.name().to_string(),
-            StarvationPolicy::Batching { interval } => {
-                format!("{}:{interval}", Arbitration::Batching.name())
-            }
-        });
+        let arbitration = self.arbitration.map(|arb| arb.name().to_string());
         let request = self.request.map(|kind| kind.name().to_string());
         let response = self.response.map(|kind| kind.name().to_string());
         let slots = [

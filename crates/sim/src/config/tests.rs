@@ -321,7 +321,6 @@ fn new_policy_enums_default_to_paper_baseline() {
     assert_eq!(cfg.noc.routing, RoutingAlgorithm::XY);
     assert_eq!(cfg.noc.starvation, StarvationPolicy::AgeGuard);
     assert_eq!(cfg.mem.scheduler, MemSchedPolicy::FrFcfs);
-    assert_eq!(cfg.mem.page_policy, PagePolicy::Open);
 }
 
 #[test]
@@ -338,56 +337,43 @@ fn policy_kinds_default_to_baseline_and_keep_their_own_vocabulary() {
     assert_eq!(
         err,
         "unknown request policy \"scheme1\" \
-         (known: baseline, scheme2, oldest-first, static)"
+         (known: baseline, scheme2)"
     );
     let err = ResponsePolicyKind::parse("fifo").unwrap_err();
     assert_eq!(
         err,
         "unknown response policy \"fifo\" \
-         (known: baseline, scheme1, oldest-first, static)"
+         (known: baseline, scheme1)"
     );
 }
 
 #[test]
 fn policy_override_parses_and_applies() {
-    let ov =
-        PolicyOverride::parse("req=scheme2,resp=scheme1,arb=batching:2000").expect("valid spec");
+    let ov = PolicyOverride::parse("req=scheme2,resp=scheme1,arb=static").expect("valid spec");
     assert_eq!(ov.request, Some(RequestPolicyKind::Scheme2));
     assert_eq!(ov.response, Some(ResponsePolicyKind::Scheme1));
-    assert_eq!(
-        ov.arbitration,
-        Some(StarvationPolicy::Batching { interval: 2000 })
-    );
+    assert_eq!(ov.arbitration, Some(StarvationPolicy::StaticPriority));
     let mut cfg = SystemConfig::baseline_32();
     ov.apply(&mut cfg);
     assert_eq!(
         cfg.policy,
         SystemConfig::baseline_32().with_both_schemes().policy
     );
-    assert_eq!(
-        cfg.noc.starvation,
-        StarvationPolicy::Batching { interval: 2000 }
-    );
+    assert_eq!(cfg.noc.starvation, StarvationPolicy::StaticPriority);
 
     // Partial overrides leave the other slots untouched.
-    let ov = PolicyOverride::parse("resp=oldest-first").expect("valid spec");
+    let ov = PolicyOverride::parse("resp=scheme1").expect("valid spec");
     assert!(ov.request.is_none());
     let mut cfg = SystemConfig::baseline_32();
     ov.apply(&mut cfg);
     assert_eq!(cfg.policy.request, RequestPolicyKind::Baseline);
-    assert_eq!(cfg.policy.response, ResponsePolicyKind::OldestFirst);
+    assert_eq!(cfg.policy.response, ResponsePolicyKind::Scheme1);
     assert_eq!(cfg.noc.starvation, StarvationPolicy::AgeGuard);
 
     assert!(PolicyOverride::parse("").expect("empty is fine").is_empty());
     assert_eq!(
         PolicyOverride::parse("arb=age-guard").unwrap().arbitration,
         Some(StarvationPolicy::AgeGuard)
-    );
-    assert_eq!(
-        PolicyOverride::parse("arb=oldest-first")
-            .unwrap()
-            .arbitration,
-        Some(StarvationPolicy::OldestFirst)
     );
     assert_eq!(
         PolicyOverride::parse("arb=static").unwrap().arbitration,
@@ -401,9 +387,25 @@ fn policy_override_rejects_bad_specs() {
     assert!(PolicyOverride::parse("resp=scheme2").is_err());
     assert!(PolicyOverride::parse("req").is_err());
     assert!(PolicyOverride::parse("mode=fast").is_err());
-    assert!(PolicyOverride::parse("arb=batching:0").is_err());
-    assert!(PolicyOverride::parse("arb=batching:x").is_err());
     assert!(PolicyOverride::parse("arb=lottery").is_err());
+    assert!(PolicyOverride::parse("arb=age-guard:5").is_err());
+    // Removed values are unknown names, and the error lists the survivors.
+    for (spec, known) in [
+        ("arb=batching:64", "age-guard, static"),
+        ("arb=oldest-first", "age-guard, static"),
+        ("req=static", "baseline, scheme2"),
+        ("req=oldest-first", "baseline, scheme2"),
+        ("resp=oldest-first", "baseline, scheme1"),
+        ("resp=static", "baseline, scheme1"),
+    ] {
+        let err = PolicyOverride::parse(spec).unwrap_err();
+        assert!(err.ends_with(&format!("(known: {known})")), "{spec}: {err}");
+    }
+    let err = MemSchedPolicy::parse("frfcfs-cap").unwrap_err();
+    assert_eq!(
+        err,
+        "unknown scheduler \"frfcfs-cap\" (known: frfcfs, fcfs)"
+    );
 }
 
 #[test]
@@ -478,13 +480,14 @@ fn grammar_round_trips_every_vocabulary_and_both_overrides() {
         RequestPolicyKind,
         ResponsePolicyKind,
         RoutingAlgorithm,
-        MemSchedPolicy
+        MemSchedPolicy,
+        StarvationPolicy
     );
     // Aliases are input only: they parse, and render as the one name.
     assert_eq!(Scheme::parse("none").map(|s| s.name()), Ok("baseline"));
-    let aliased = "request=static,response=scheme1,arbitration=static";
+    let aliased = "request=scheme2,response=scheme1,arbitration=static";
     let spelled = PolicyOverride::parse(aliased).expect("aliases parse");
-    assert_eq!(spelled.to_string(), "req=static,resp=scheme1,arb=static");
+    assert_eq!(spelled.to_string(), "req=scheme2,resp=scheme1,arb=static");
     let aliased = TopologyOverride::parse("cmesh:concentration=2").expect("aliases parse");
     assert_eq!(aliased.to_string(), "cmesh:c=2");
     let aliased = TopologyOverride::parse("express:ruche=3,mc=edge").expect("aliases parse");
@@ -492,7 +495,7 @@ fn grammar_round_trips_every_vocabulary_and_both_overrides() {
 
     // The usage fragments quote every name the overrides accept.
     let help = PolicyOverride::help();
-    let arbitrations = ["age-guard", "batching", "oldest-first", "static"];
+    let arbitrations = StarvationPolicy::ALL.map(|a| a.name());
     let requests = RequestPolicyKind::ALL.map(|k| k.name());
     let responses = ResponsePolicyKind::ALL.map(|k| k.name());
     for name in requests.iter().chain(&responses).chain(&arbitrations) {
@@ -515,16 +518,7 @@ fn grammar_round_trips_every_vocabulary_and_both_overrides() {
         let policy = PolicyOverride {
             request: maybe(rng).then(|| check::pick(rng, &RequestPolicyKind::ALL)),
             response: maybe(rng).then(|| check::pick(rng, &ResponsePolicyKind::ALL)),
-            arbitration: maybe(rng).then(|| {
-                let interval = check::range_u64(rng, 1, 100_000) as u32;
-                let known = [
-                    StarvationPolicy::AgeGuard,
-                    StarvationPolicy::Batching { interval },
-                    StarvationPolicy::OldestFirst,
-                    StarvationPolicy::StaticPriority,
-                ];
-                check::pick(rng, &known)
-            }),
+            arbitration: maybe(rng).then(|| check::pick(rng, &StarvationPolicy::ALL)),
         };
         assert_eq!(PolicyOverride::parse(&policy.to_string()), Ok(policy));
 

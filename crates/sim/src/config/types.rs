@@ -273,25 +273,14 @@ pub struct NocConfig {
     pub starvation: StarvationPolicy,
 }
 
-/// How prioritized arbitration treats competing flits (Section 3.3
-/// discusses the first two mechanisms; the last two are research ablations
-/// reachable via `--policy arb=<name>`).
+/// How prioritized arbitration treats competing flits (Section 3.3; strict
+/// priority is the ablation `--policy arb=static` selects).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StarvationPolicy {
     /// The paper's mechanism: a normal flit wins over a high-priority one
     /// when it is older by more than the configured guard
-    /// (`starvation_age_guard`).
+    /// (`starvation_age_guard`). Guard 0 is oldest-first arbitration.
     AgeGuard,
-    /// The batching alternative the paper cites: time is divided into
-    /// intervals of the given length; flits from an older batch beat any
-    /// priority difference.
-    Batching {
-        /// Batch interval in cycles.
-        interval: u32,
-    },
-    /// Pure global-age arbitration: the oldest flit wins regardless of its
-    /// priority class (the "oldest-first" ablation baseline).
-    OldestFirst,
     /// Pure static-priority arbitration: the priority class alone decides;
     /// ages never override it (no starvation protection — the watchdog is
     /// the backstop).
@@ -319,24 +308,13 @@ impl NocConfig {
 pub enum MemSchedPolicy {
     /// First-ready, first-come-first-served (row hits first). The baseline.
     FrFcfs,
-    /// FR-FCFS with a cap on consecutive row hits per bank, bounding the
-    /// starvation row-hit streaks can inflict on row-miss requests.
-    FrFcfsCap(u32),
     /// Strict arrival order, for ablation.
     Fcfs,
 }
 
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PagePolicy {
-    /// Leave the row open after an access (the baseline; rewards locality).
-    Open,
-    /// Precharge after every access (uniform latency, no hits).
-    Closed,
-}
-
 /// Memory system parameters (Table 1: DDR-800, bus multiplier 5, bank busy
 /// 22 cycles, rank delay 2, read-write delay 3, 16 banks per controller).
+/// Rows are left open after an access (open-page policy).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
     /// Number of memory controllers attached at mesh corners (4 baseline,
@@ -372,8 +350,6 @@ pub struct MemConfig {
     pub burst_latency: u32,
     /// Scheduling policy.
     pub scheduler: MemSchedPolicy,
-    /// Row-buffer management policy.
-    pub page_policy: PagePolicy,
 }
 
 /// Scheme-1 (late-response expediting) parameters, Section 3.1. Whether the
@@ -412,10 +388,6 @@ pub enum RequestPolicyKind {
     Baseline,
     /// The paper's Scheme-2: expedite requests bound for idle banks.
     Scheme2,
-    /// Expedite requests older than the running average age.
-    OldestFirst,
-    /// The lower half of the core IDs is always expedited.
-    Static,
 }
 
 /// Decision point 2: the priority a memory controller gives a reply it is
@@ -428,10 +400,6 @@ pub enum ResponsePolicyKind {
     /// The paper's Scheme-1: expedite responses later than the owning
     /// application's advertised threshold.
     Scheme1,
-    /// Expedite responses older than the running average age.
-    OldestFirst,
-    /// The lower half of the core IDs is always expedited.
-    Static,
 }
 
 /// Which request and response policies a run uses: the one home of both
@@ -640,7 +608,6 @@ impl SystemConfig {
                 row_hit_latency: 4,
                 burst_latency: 3,
                 scheduler: MemSchedPolicy::FrFcfs,
-                page_policy: PagePolicy::Open,
             },
             scheme1: Scheme1Config {
                 threshold_factor: 1.2,

@@ -219,22 +219,22 @@ fn both_schemes_match() {
     );
 }
 
-/// The non-paper policy kinds over the full window (the whole kind space
-/// runs, shorter, in [`every_policy_combination_matches`]).
+/// Strict-priority arbitration over the full window, both schemes on (the
+/// whole policy space runs, shorter, in
+/// [`every_policy_combination_matches`]).
 #[test]
-fn named_policies_match() {
-    let mut cfg = SystemConfig::baseline_32();
-    cfg.policy.request = RequestPolicyKind::OldestFirst;
-    cfg.policy.response = ResponsePolicyKind::Static;
+fn static_arbitration_matches() {
+    let mut cfg = SystemConfig::baseline_32().with_both_schemes();
+    cfg.noc.starvation = StarvationPolicy::StaticPriority;
     let plan = FaultPlan::none();
-    assert_kernels_agree("named-policies", &cfg, &plan);
+    assert_kernels_agree("static-arbitration", &cfg, &plan);
 }
 
-/// The whole policy space, cheaply: all 4 × 4 request × response kinds
-/// under the paper's age guard, plus the paper pair under every arbitration
-/// policy, on the 16-core system. Every cell must build, report the
-/// policies it was given, agree across kernels and leave the watchdog
-/// silent.
+/// The whole policy space, cheaply: all 2 × 2 request × response kinds
+/// under the paper's age guard, plus the paper pair under strict priority
+/// and under a zero guard (oldest-first), on the 16-core system. Every cell
+/// must build, report the policies it was given, agree across kernels and
+/// leave the watchdog silent.
 #[test]
 fn every_policy_combination_matches() {
     let plan = FaultPlan::none();
@@ -247,21 +247,19 @@ fn every_policy_combination_matches() {
             cells.push(cfg);
         }
     }
-    for starvation in [
-        StarvationPolicy::Batching { interval: 200 },
-        StarvationPolicy::OldestFirst,
-        StarvationPolicy::StaticPriority,
-    ] {
-        let mut cfg = SystemConfig::baseline_16().with_both_schemes();
-        cfg.noc.starvation = starvation;
-        cells.push(cfg);
-    }
+    let paper = SystemConfig::baseline_16().with_both_schemes();
+    let mut strict = paper.clone();
+    strict.noc.starvation = StarvationPolicy::StaticPriority;
+    let mut zero_guard = paper;
+    zero_guard.noc.starvation_age_guard = 0;
+    cells.extend([strict, zero_guard]);
     for cfg in cells {
         let label = format!(
-            "req={} resp={} arb={:?}",
+            "req={} resp={} arb={} guard={}",
             cfg.policy.request.name(),
             cfg.policy.response.name(),
-            cfg.noc.starvation
+            cfg.noc.starvation.name(),
+            cfg.noc.starvation_age_guard
         );
         let fp = assert_kernels_agree_for(&label, &cfg, &plan, 0, POLICY_RUN_CYCLES);
         assert_eq!(fp.violations, Vec::<String>::new(), "{label}");

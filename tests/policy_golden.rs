@@ -4,14 +4,14 @@
 //! (`SystemConfig::policy`), so "the paper schemes by name" and "the paper
 //! schemes by flag" are one configuration and need no equivalence test; the
 //! whole kind × kind space is run under both kernels in
-//! `kernel_equivalence.rs`. These tests run the non-paper policies
-//! (`oldest-first`, `static`) through the `--policy` grammar, check that a
-//! built system reports the policies it was given, and check that attaching
-//! probes observes traffic without perturbing it.
+//! `kernel_equivalence.rs`. These tests run strict-priority arbitration
+//! (`arb=static`) through the `--policy` grammar, check that a built system
+//! reports the policies it was given, and check that attaching probes
+//! observes traffic without perturbing it.
 
 use noclat::{
-    run_mix, CountingProbe, PolicyOverride, RequestPolicyKind, ResponsePolicyKind, RunLengths,
-    Simulation, System, SystemConfig,
+    run_mix, CountingProbe, PolicyOverride, RequestPolicyKind, RunLengths, Simulation, System,
+    SystemConfig,
 };
 use noclat_sim::config::StarvationPolicy;
 use noclat_workloads::workload;
@@ -37,19 +37,19 @@ fn build_system(cfg: SystemConfig, apps: &[noclat_workloads::SpecApp]) -> System
         .into_system()
 }
 
-/// The non-paper policy kinds run end-to-end, and the `--policy` spec
-/// grammar drives all three decision layers.
+/// Strict-priority arbitration runs end-to-end under each scheme, and the
+/// `--policy` spec grammar drives all three decision layers.
 #[test]
-fn oldest_first_and_static_policies_run_end_to_end() {
+fn static_arbitration_runs_end_to_end() {
     let short = RunLengths {
         warmup: 200,
         measure: 4_000,
     };
     for spec in [
-        "req=oldest-first,resp=oldest-first",
-        "req=static,resp=static",
-        "req=oldest-first,resp=scheme1,arb=oldest-first",
-        "resp=static,arb=static",
+        "arb=static",
+        "req=scheme2,arb=static",
+        "resp=scheme1,arb=static",
+        "req=scheme2,resp=scheme1,arb=static",
     ] {
         let ov = PolicyOverride::parse(spec).expect("spec parses");
         let mut cfg = SystemConfig::baseline_32();
@@ -60,13 +60,10 @@ fn oldest_first_and_static_policies_run_end_to_end() {
         assert!(offchip > 0, "{spec}: the run must retire off-chip accesses");
     }
     // The arbitration slot reaches NocConfig.
-    let ov = PolicyOverride::parse("arb=batching:64").expect("batching arbitration parses");
+    let ov = PolicyOverride::parse("arb=static").expect("static arbitration parses");
     let mut cfg = SystemConfig::baseline_32();
     ov.apply(&mut cfg);
-    assert_eq!(
-        cfg.noc.starvation,
-        StarvationPolicy::Batching { interval: 64 }
-    );
+    assert_eq!(cfg.noc.starvation, StarvationPolicy::StaticPriority);
 }
 
 /// The policy objects a system was built with are visible on it (and in
@@ -81,11 +78,10 @@ fn system_reports_resolved_policy_names() {
     assert!(dbg.contains("scheme2") && dbg.contains("scheme1"), "{dbg}");
 
     let mut cfg = SystemConfig::baseline_32();
-    cfg.policy.request = RequestPolicyKind::OldestFirst;
-    cfg.policy.response = ResponsePolicyKind::Static;
+    cfg.policy.request = RequestPolicyKind::Scheme2;
     let sys = build_system(cfg, &apps);
-    assert_eq!(sys.request_policy_name(), "oldest-first");
-    assert_eq!(sys.response_policy_name(), "static");
+    assert_eq!(sys.request_policy_name(), "scheme2");
+    assert_eq!(sys.response_policy_name(), "baseline");
 }
 
 /// Probes observe every layer without changing the simulation.
