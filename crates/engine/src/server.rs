@@ -662,10 +662,13 @@ impl Line {
     }
 }
 
-/// The only place a line reaches a socket: the line, then the newline, on
-/// the unbuffered stream (two writes; ROADMAP has the latency floor).
-fn send(writer: &mut TcpStream, line: Line) -> std::io::Result<()> {
-    writeln!(writer, "{}", line.render())
+/// The only place a line reaches a socket: the line and its newline in one
+/// write. Two writes on the unbuffered stream would meet Nagle's algorithm,
+/// which holds the newline until the client's delayed ACK (≈44 ms a reply).
+fn send(writer: &mut impl Write, line: Line) -> std::io::Result<()> {
+    let mut bytes = line.render();
+    bytes.push('\n');
+    writer.write_all(bytes.as_bytes())
 }
 
 /// Longest request line a connection may send, in bytes (the newline not
@@ -701,11 +704,19 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
         if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        let answered = std::str::from_utf8(&line)
+        let request = std::str::from_utf8(&line)
             .map_err(|e| e.to_string())
             .and_then(Json::parse)
-            .map_err(|e| format!("bad request: {e}"))
-            .and_then(|request| answer(shared, &request));
+            .map_err(|e| format!("bad request: {e}"));
+        // The connection closes after its reply to the shutdown request or
+        // to any request that arrives once the daemon is shutting down.
+        // Decided before answering, so that a reply which raced another
+        // connection's shutdown does not close this one unasked.
+        let closes = shared.lock().shutdown
+            || request
+                .as_ref()
+                .is_ok_and(|request| request.get("op").and_then(Json::as_str) == Some("shutdown"));
+        let answered = request.and_then(|request| answer(shared, &request));
         let (reply, follow) = answered.unwrap_or_else(|e| (Some(Line::error(&e)), None));
         if let Some(reply) = reply {
             send(&mut writer, reply)?;
@@ -713,7 +724,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
         if let Some(entry) = follow {
             stream_until_terminal(&entry, &mut writer)?;
         }
-        if shared.lock().shutdown {
+        if closes {
             // Wake the accept loop so that serve() observes the flag.
             let _ = TcpStream::connect(shared.addr);
             return Ok(());
@@ -813,7 +824,7 @@ fn submit(shared: &Shared, spec: CellSpec, reply: Line, wait: bool) -> Answer {
 
 /// Streams an entry's transitions as `state` events, then its terminal
 /// event. Written outside every lock: a slow client stalls no executor.
-fn stream_until_terminal(entry: &JobEntry, writer: &mut TcpStream) -> std::io::Result<()> {
+fn stream_until_terminal(entry: &JobEntry, writer: &mut impl Write) -> std::io::Result<()> {
     let mut last = None;
     loop {
         let current = entry
@@ -977,5 +988,36 @@ mod tests {
             Line::error("missing key").render(),
             r#"{"ok":false,"error":"missing key"}"#
         );
+    }
+
+    /// A writer that keeps every `write` call apart.
+    #[derive(Default)]
+    struct Calls(Vec<String>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(String::from_utf8_lossy(buf).into_owned());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_line_leaves_in_one_write() {
+        let lines: [fn() -> Line; 3] = [
+            || Line::reply("status").key(0xabc).field("status", "running"),
+            || Line::event("done", 7).result(r#"{"x":1.50}"#.to_string()),
+            || Line::error("missing key"),
+        ];
+        for line in lines {
+            let mut calls = Calls::default();
+            send(&mut calls, line()).unwrap();
+            let expected = format!("{}\n", line().render());
+            assert_eq!(calls.0, [expected.as_str()]);
+            assert_eq!(expected.matches('\n').count(), 1, "{expected}");
+        }
     }
 }

@@ -109,9 +109,11 @@ impl Client {
         }
     }
 
+    /// The line and its newline in one write, as the daemon sends its own:
+    /// a second write would wait out Nagle and the daemon's delayed ACK.
     fn send(&mut self, line: &str) {
-        writeln!(self.stream, "{line}").expect("send");
-        self.stream.flush().expect("flush");
+        let line = format!("{line}\n");
+        self.stream.write_all(line.as_bytes()).expect("send");
     }
 
     fn read_line(&mut self) -> String {
